@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import AnnotationMatrix, ExtendedLabel
 
 TIE_BREAK_RULES = ("lowest-index", "highest-index")
@@ -52,17 +54,24 @@ class EnsembleState:
     converged: bool
 
 
-def _argmax_label(scores: Sequence[float], tie_break: str) -> ExtendedLabel:
-    best = 0
+def _vote(items, labels, voter_weights, n_items, n_labels, tie_break) -> np.ndarray:
+    """Weighted plurality label of items 0..n_items-1, 0 where nobody voted.
+
+    The votes come item-major with annotators ascending inside each item,
+    ``voter_weights`` holding each vote's annotator weight. ``np.bincount``
+    adds weights one at a time in input order, so each (item, label)
+    score is summed in annotator order, as a dense loop would, and exact
+    ties come out the same.
+    """
+    scores = np.bincount(
+        items * n_labels + labels - 1, weights=voter_weights, minlength=n_items * n_labels
+    ).reshape(n_items, n_labels)
     if tie_break == "highest-index":
-        for k in range(1, len(scores)):
-            if scores[k] >= scores[best]:
-                best = k
+        predictions = n_labels - scores[:, ::-1].argmax(axis=1)
     else:
-        for k in range(1, len(scores)):
-            if scores[k] > scores[best]:
-                best = k
-    return best + 1
+        predictions = scores.argmax(axis=1) + 1
+    predictions[np.bincount(items, minlength=n_items) == 0] = 0
+    return predictions
 
 
 def weighted_vote(
@@ -84,13 +93,10 @@ def weighted_vote(
         )
     if not 0 <= item < matrix.n_items:
         raise ValueError(f"item index {item} out of range 0..{matrix.n_items - 1}")
-    votes = matrix.by_item[item]
-    if not votes:
-        return 0
-    scores = [0.0] * matrix.schema.n_labels
-    for i, label in votes:
-        scores[label - 1] += weights[i]
-    return _argmax_label(scores, tie_break)
+    lo, hi = np.searchsorted(matrix.items, [item, item + 1])
+    voter_weights = np.asarray(weights, dtype=float)[matrix.annotators[lo:hi]]
+    votes = (matrix.items[lo:hi] - item, matrix.labels[lo:hi], voter_weights)
+    return int(_vote(*votes, 1, matrix.schema.n_labels, tie_break)[0])
 
 
 def estimate_accuracies(
@@ -107,18 +113,12 @@ def estimate_accuracies(
         raise ValueError(
             f"got {len(predictions)} predictions for {matrix.n_items} items"
         )
-    chance = 1.0 / matrix.schema.n_labels
-    accuracies = []
-    for row in matrix.by_annotator:
-        matches = observed = 0
-        for j, label in row:
-            if predictions[j] == 0:
-                continue
-            observed += 1
-            if label == predictions[j]:
-                matches += 1
-        accuracies.append(matches / observed if observed else chance)
-    return accuracies
+    predicted = np.asarray(predictions, dtype=np.intp)[matrix.items]
+    n = matrix.n_annotators
+    observed = np.bincount(matrix.annotators[predicted != 0], minlength=n)
+    matches = np.bincount(matrix.annotators[matrix.labels == predicted], minlength=n)
+    chance = np.full(n, 1.0 / matrix.schema.n_labels)
+    return np.divide(matches, observed, out=chance, where=observed > 0).tolist()
 
 
 def update_weights(accuracies: Sequence[float], n_labels: int) -> list[float]:
@@ -144,8 +144,8 @@ def majority_vote(
     matrix: AnnotationMatrix, tie_break: str = "lowest-index"
 ) -> list[ExtendedLabel]:
     """Uniform-weight baseline: every annotator counts 1."""
-    ones = [1.0] * matrix.n_annotators
-    return [weighted_vote(matrix, j, ones, tie_break) for j in range(matrix.n_items)]
+    votes = (matrix.items, matrix.labels, np.ones(matrix.observed_count))
+    return _vote(*votes, matrix.n_items, matrix.schema.n_labels, tie_break).tolist()
 
 
 def run_ensemble(
@@ -158,10 +158,10 @@ def run_ensemble(
     Weights start uniform at 1, so iteration 1's predictions are exactly
     the plain majority vote. Convergence means: this iteration's
     predictions equal the previous iteration's, and no weight moved by
-    weight_tolerance or more. When predictions repeat, the recomputed
-    weights are bitwise identical too, so the returned state is
-    self-consistent: predictions == the weighted vote under the returned
-    weights.
+    more than weight_tolerance. When predictions repeat, the recomputed
+    weights are bitwise identical, so the move is exactly 0 and any
+    tolerance >= 0 accepts it; the returned state is self-consistent:
+    predictions == the weighted vote under the returned weights.
 
     ``on_iteration`` (if given) is called after each iteration with
     (iteration number, predictions, accuracies, updated weights); handy
@@ -175,26 +175,20 @@ def run_ensemble(
         raise ValueError("annotation matrix has no observed entries")
     n_labels = matrix.schema.n_labels
     weights = [1.0] * matrix.n_annotators
-    previous_predictions: list[ExtendedLabel] | None = None
-    predictions: list[ExtendedLabel] = []
-    accuracies: list[float] = []
+    previous_predictions: np.ndarray | None = None
     converged = False
-    iterations_run = 0
     for iteration in range(1, config.max_iterations + 1):
-        predictions = [
-            weighted_vote(matrix, j, weights, config.tie_break)
-            for j in range(matrix.n_items)
-        ]
+        votes = (matrix.items, matrix.labels, np.asarray(weights)[matrix.annotators])
+        predictions = _vote(*votes, matrix.n_items, n_labels, config.tie_break)
         accuracies = estimate_accuracies(matrix, predictions)
         new_weights = update_weights(accuracies, n_labels)
         delta = max(abs(n - o) for n, o in zip(new_weights, weights))
-        iterations_run = iteration
         if on_iteration is not None:
-            on_iteration(iteration, predictions, accuracies, new_weights)
+            on_iteration(iteration, predictions.tolist(), accuracies, new_weights)
         stable = (
             previous_predictions is not None
-            and predictions == previous_predictions
-            and delta < config.weight_tolerance
+            and np.array_equal(predictions, previous_predictions)
+            and delta <= config.weight_tolerance
         )
         weights = new_weights
         if stable:
@@ -204,7 +198,7 @@ def run_ensemble(
     return EnsembleState(
         weights=weights,
         accuracies=accuracies,
-        predictions=predictions,
-        iterations_run=iterations_run,
+        predictions=predictions.tolist(),
+        iterations_run=iteration,
         converged=converged,
     )

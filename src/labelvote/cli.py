@@ -20,7 +20,6 @@ from .simulate import (
     SimulationConfig,
     WorkerProfile,
     generate_ground_truth,
-    score_accuracy,
     simulate_annotations,
 )
 
@@ -147,27 +146,22 @@ def cmd_evaluate(args) -> int:
         ids = [r.item_id for r in rows]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate item ids in {name} file")
-    if {r.item_id for r in predicted} != {r.item_id for r in actual}:
-        raise ValueError("item-id mismatch between predictions and truth")
+    # A truth item with no prediction got no usable annotation: it abstains.
+    if not {r.item_id for r in predicted} <= {r.item_id for r in actual}:
+        raise ValueError("item-id mismatch: predictions name items not in the truth file")
     if {r.attribute for r in predicted} != {r.attribute for r in actual}:
         raise ValueError("attribute mismatch between predictions and truth")
     if any(r.label is None for r in actual):
         raise ValueError("truth file contains null labels")
 
-    # Encode against the truth vocabulary so score_accuracy does the math;
-    # prediction labels outside it count as wrong, as do abstentions.
-    label_codes: dict[str, int] = {}
-    for row in actual:
-        label_codes.setdefault(row.label.strip().casefold(), len(label_codes) + 1)
-    by_id = {r.item_id: r.label for r in predicted}
-    truth_encoded = [label_codes[r.label.strip().casefold()] for r in actual]
-    predicted_encoded = []
-    for row in actual:
-        label = by_id[row.item_id]
-        code = 0 if label is None else label_codes.get(label.strip().casefold(), 0)
-        predicted_encoded.append(code)
-    accuracy = score_accuracy(predicted_encoded, truth_encoded)
-    print(f"{accuracy:.4f}")
+    if not actual:
+        raise ValueError("truth file lists no items")
+
+    # Labels match trim- and case-insensitively; abstentions, missing items
+    # and labels outside the truth vocabulary count as wrong.
+    by_id = {r.item_id: r.label.strip().casefold() for r in predicted if r.label is not None}
+    right = sum(by_id.get(r.item_id) == r.label.strip().casefold() for r in actual)
+    print(f"{right / len(actual):.4f}")
     return EXIT_OK
 
 

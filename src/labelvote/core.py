@@ -3,14 +3,19 @@
 Labels are encoded as small integers: 1..L index into the attribute's
 vocabulary, and 0 is reserved for "missing" (an annotator that never
 labeled the item, or a label outside the vocabulary). The annotation
-matrix stores only non-missing entries; absence of a key encodes 0.
+matrix stores only the non-missing entries, as three parallel int arrays
+(annotator index, item index, label) sorted item-major; a pair absent
+from the arrays is 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 # An extended label: 0 = missing, 1..L = position in the vocabulary.
 ExtendedLabel = int
@@ -92,45 +97,84 @@ class AnnotationRecord:
                 raise ValueError(f"AnnotationRecord.{name} must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     """Sparse N x P matrix of encoded labels over one attribute.
 
-    ``entries`` maps (annotator index, item index) to a 1..L label; a
-    missing key means the entry is unobserved (value 0). The observation
-    indicator is therefore implicit: T[i, j] = 1 iff (i, j) is a key.
-    Instances are immutable after construction and safe to share across
-    threads.
+    The observed entries are three parallel read-only int arrays:
+    ``annotators`` (index), ``items`` (index) and ``labels`` (1..L), one
+    entry per observed pair; an absent pair is unobserved (value 0). They
+    are sorted item-major with annotators ascending inside each item:
+    summing an item's votes in that order reproduces a dense loop's float
+    sums, so ties resolve the same way. Instances are immutable after
+    construction and safe to share across threads.
+
+    ``entries`` is a mapping {(annotator, item): label} or the three
+    columns in any order. Repeats of a pair collapse to its first entry
+    when they agree; when they disagree, ConflictError names the first
+    entry that contradicts an earlier one.
     """
 
     schema: AttributeSchema
     annotator_ids: tuple[str, ...]
     item_ids: tuple[str, ...]
-    entries: Mapping[tuple[int, int], ExtendedLabel]
+    annotators: np.ndarray
+    items: np.ndarray
+    labels: np.ndarray
 
     def __init__(
         self,
         schema: AttributeSchema,
         annotator_ids: Sequence[str],
         item_ids: Sequence[str],
-        entries: Mapping[tuple[int, int], ExtendedLabel],
+        entries: Mapping[tuple[int, int], ExtendedLabel] | tuple,
     ):
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "annotator_ids", tuple(annotator_ids))
         object.__setattr__(self, "item_ids", tuple(item_ids))
-        object.__setattr__(self, "entries", dict(entries))
         if len(set(self.annotator_ids)) != len(self.annotator_ids):
             raise ValueError("duplicate annotator ids")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValueError("duplicate item ids")
+        if isinstance(entries, Mapping):
+            entries = ([i for i, _ in entries], [j for _, j in entries], list(entries.values()))
+        annotators, items, labels = (np.array(c, dtype=np.intp) for c in entries)
+        if labels.ndim != 1 or not annotators.shape == items.shape == labels.shape:
+            raise ValueError("entry columns must be 1-D and equally long")
         n, p, n_labels = len(self.annotator_ids), len(self.item_ids), schema.n_labels
-        for (i, j), value in self.entries.items():
-            if not (0 <= i < n and 0 <= j < p):
-                raise ValueError(f"entry index ({i}, {j}) out of range")
-            if not 1 <= value <= n_labels:
-                raise ValueError(
-                    f"entry ({i}, {j}) has value {value}, expected 1..{n_labels}"
-                )
+        bad = (annotators < 0) | (annotators >= n) | (items < 0) | (items >= p)
+        bad |= (labels < 1) | (labels > n_labels)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(
+                f"entry ({annotators[k]}, {items[k]}) = {labels[k]} is outside "
+                f"{n} annotators x {p} items x labels 1..{n_labels}"
+            )
+        _, first, pair = np.unique(
+            items * n + annotators, return_index=True, return_inverse=True
+        )
+        earlier = labels[first][pair]
+        conflicts = np.flatnonzero(earlier != labels)
+        if conflicts.size:
+            k = conflicts[0]
+            raise ConflictError(
+                f"conflicting labels for annotator {self.annotator_ids[annotators[k]]!r} "
+                f"on item {self.item_ids[items[k]]!r}: "
+                f"{schema.labels[earlier[k] - 1]!r} vs {schema.labels[labels[k] - 1]!r}"
+            )
+        for name, column in (("annotators", annotators), ("items", items), ("labels", labels)):
+            column = column[first]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnnotationMatrix):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def _content(self):
+        columns = (self.annotators, self.items, self.labels)
+        return (self.schema, self.annotator_ids, self.item_ids, *(c.tobytes() for c in columns))
 
     @property
     def n_annotators(self) -> int:
@@ -142,7 +186,13 @@ class AnnotationMatrix:
 
     @property
     def observed_count(self) -> int:
-        return len(self.entries)
+        return len(self.labels)
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, int], ExtendedLabel]:
+        """Read-only {(annotator, item): label} view, built on first use."""
+        pairs = zip(self.annotators.tolist(), self.items.tolist())
+        return MappingProxyType(dict(zip(pairs, self.labels.tolist())))
 
     def label_for(self, annotator: int, item: int) -> ExtendedLabel:
         return self.entries.get((annotator, item), 0)
@@ -150,31 +200,30 @@ class AnnotationMatrix:
     @cached_property
     def by_item(self) -> tuple[tuple[tuple[int, ExtendedLabel], ...], ...]:
         """Per-item vote lists: by_item[j] = ((annotator index, label), ...)."""
-        cols: list[list[tuple[int, ExtendedLabel]]] = [[] for _ in range(self.n_items)]
-        for (i, j) in sorted(self.entries):
-            cols[j].append((i, self.entries[(i, j)]))
-        return tuple(tuple(c) for c in cols)
+        return self._grouped(self.items, self.n_items, self.annotators)
 
     @cached_property
     def by_annotator(self) -> tuple[tuple[tuple[int, ExtendedLabel], ...], ...]:
         """Per-annotator label lists: by_annotator[i] = ((item index, label), ...)."""
-        rows: list[list[tuple[int, ExtendedLabel]]] = [
-            [] for _ in range(self.n_annotators)
-        ]
-        for (i, j) in sorted(self.entries):
-            rows[i].append((j, self.entries[(i, j)]))
-        return tuple(tuple(r) for r in rows)
+        return self._grouped(self.annotators, self.n_annotators, self.items)
+
+    def _grouped(self, major, size, minor):
+        order = np.lexsort((minor, major))
+        pairs = list(zip(minor[order].tolist(), self.labels[order].tolist()))
+        ends = np.cumsum(np.bincount(major, minlength=size)).tolist()
+        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends))
 
     def to_records(self) -> list[AnnotationRecord]:
         """Decode stored entries back to records, annotator-major order."""
+        order = np.lexsort((self.items, self.annotators))
+        attribute, names = self.schema.attribute_name, self.schema.labels
         return [
-            AnnotationRecord(
-                annotator_id=self.annotator_ids[i],
-                item_id=self.item_ids[j],
-                attribute=self.schema.attribute_name,
-                raw_label=self.schema.labels[self.entries[(i, j)] - 1],
+            AnnotationRecord(self.annotator_ids[i], self.item_ids[j], attribute, names[v - 1])
+            for i, j, v in zip(
+                self.annotators[order].tolist(),
+                self.items[order].tolist(),
+                self.labels[order].tolist(),
             )
-            for (i, j) in sorted(self.entries)
         ]
 
 
@@ -187,36 +236,37 @@ def build_matrix(
     that carry an in-vocabulary label. Records whose raw_label encodes to
     missing contribute nothing at all (not even id registration), so an
     out-of-vocabulary record is indistinguishable from an omitted one.
+    Agreeing duplicates of an (annotator, item) pair collapse to one entry.
 
     Raises ConflictError when the same (annotator, item) pair carries two
-    different in-vocabulary labels; a silent overwrite would corrupt every
-    downstream accuracy estimate.
+    different in-vocabulary labels, naming the first contradicting record;
+    a silent overwrite would corrupt every downstream accuracy estimate.
     """
     annotator_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    entries: dict[tuple[int, int], ExtendedLabel] = {}
+    codes: dict[str, ExtendedLabel] = {}
+    annotators: list[int] = []
+    items: list[int] = []
+    labels: list[ExtendedLabel] = []
     for record in records:
         if record.attribute != schema.attribute_name:
+            # A conflict among the records before this one is reported first.
+            AnnotationMatrix(
+                schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
+            )
             raise ValueError(
                 f"record attribute {record.attribute!r} does not match "
                 f"schema attribute {schema.attribute_name!r}"
             )
-        value = encode_label(schema, record.raw_label)
+        value = codes.get(record.raw_label)
+        if value is None:
+            value = codes[record.raw_label] = encode_label(schema, record.raw_label)
         if value == 0:
             continue
-        i = annotator_index.setdefault(record.annotator_id, len(annotator_index))
-        j = item_index.setdefault(record.item_id, len(item_index))
-        previous = entries.get((i, j))
-        if previous is not None and previous != value:
-            raise ConflictError(
-                f"conflicting labels for annotator {record.annotator_id!r} on "
-                f"item {record.item_id!r}: "
-                f"{schema.labels[previous - 1]!r} vs {schema.labels[value - 1]!r}"
-            )
-        entries[(i, j)] = value
+        annotators.append(annotator_index.setdefault(record.annotator_id, len(annotator_index)))
+        items.append(item_index.setdefault(record.item_id, len(item_index)))
+        labels.append(value)
+
     return AnnotationMatrix(
-        schema=schema,
-        annotator_ids=tuple(annotator_index),
-        item_ids=tuple(item_index),
-        entries=entries,
+        schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
     )

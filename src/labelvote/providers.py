@@ -8,6 +8,7 @@ counts its in-flight calls so concurrency limits are observable.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import threading
@@ -15,7 +16,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import requests
+
+def __getattr__(name):
+    # Importing requests takes ~0.1 s and only HttpProvider.complete needs
+    # it, so it loads on first use; this keeps ``providers.requests`` valid.
+    if name != "requests":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module("requests")
 
 
 class ProviderError(RuntimeError):
@@ -97,6 +104,8 @@ class HttpProvider(Provider):
             )
 
     def complete(self, prompt: str) -> str:
+        import requests
+
         api_key = os.environ.get(self.spec.credential_env_var, "").strip()
         if not api_key:
             raise CredentialError(

@@ -111,14 +111,14 @@ def simulate_annotations(
     labels = np.where(correct_draw < accuracy, truth_row[None, :], wrong)
     observed = miss_draw >= missing_rate
 
-    entries = {
-        (int(i), int(j)): int(labels[i, j]) for i, j in zip(*np.nonzero(observed))
-    }
+    # Transposed, nonzero() walks item-major with annotators ascending, the
+    # matrix's own order, so the matrix's stable sort finds it in place.
+    items, annotators = np.nonzero(observed.T)
     return AnnotationMatrix(
         schema=config.schema,
         annotator_ids=tuple(w.worker_id for w in config.workers),
         item_ids=_item_ids(p),
-        entries=entries,
+        entries=(annotators, items, labels[annotators, items]),
     )
 
 

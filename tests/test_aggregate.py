@@ -2,9 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from labelvote import (
+    AnnotationMatrix,
     AttributeSchema,
     EnsembleConfig,
     SimulationConfig,
@@ -19,9 +22,49 @@ from labelvote import (
     update_weights,
     weighted_vote,
 )
+from labelvote.aggregate import _vote
 
 from conftest import make_matrix, random_sparse_rows
 from reference import reference_ensemble
+
+
+def vote_all(matrix, weights, tie_break="lowest-index"):
+    """The whole-matrix vote kernel under explicit weights."""
+    voter_weights = np.asarray(weights, dtype=float)[matrix.annotators]
+    return _vote(
+        matrix.items, matrix.labels, voter_weights,
+        matrix.n_items, matrix.schema.n_labels, tie_break,
+    ).tolist()
+
+
+def scalar_vote(rows, n_labels, item, weights, tie_break):
+    """One item's weighted plurality, summed and compared one vote at a time."""
+    scores = [0.0] * n_labels
+    voted = False
+    for i, row in enumerate(rows):
+        if row[item]:
+            scores[row[item] - 1] += weights[i]
+            voted = True
+    if not voted:
+        return 0
+    winners = [k for k, score in enumerate(scores, start=1) if score == max(scores)]
+    return winners[-1] if tie_break == "highest-index" else winners[0]
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 6 x 12 dense rows of 0..L (L <= 6), about half missing, one observed."""
+    n_labels = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 12))
+    cell = st.one_of(st.just(0), st.integers(1, n_labels))
+    rows = draw(st.lists(st.lists(cell, min_size=p, max_size=p), min_size=n, max_size=n))
+    assume(any(any(row) for row in rows))
+    return rows, n_labels
+
+
+def labelled(rows, n_labels):
+    return make_matrix(rows, labels=[f"l{k}" for k in range(1, n_labels + 1)])
 
 
 class TestWeightedVote:
@@ -280,7 +323,7 @@ class TestRunEnsemble:
             assert all(-1.0 <= w <= n_labels - 1.0 for w in state.weights)
             for j, prediction in enumerate(state.predictions):
                 if prediction == 0:
-                    assert not matrix.by_item[j]
+                    assert all(matrix.label_for(i, j) == 0 for i in range(matrix.n_annotators))
 
     def test_inert_extra_annotator_changes_nothing(self):
         rows = [[1, 1, 2, 1], [1, 1, 2, 2], [2, 1, 2, 1]]
@@ -296,6 +339,68 @@ class TestRunEnsemble:
         padded = run_ensemble(make_matrix([row + [0] for row in rows]))
         assert padded.predictions == base.predictions + [0]
         assert padded.weights == base.weights
+
+
+    def test_zero_tolerance_converges_like_the_default(self):
+        zero = EnsembleConfig(weight_tolerance=0.0)
+        state = run_ensemble(make_matrix([[1, 1, 2, 1], [1, 1, 2, 2], [2, 1, 2, 1]]), zero)
+        assert (state.iterations_run, state.converged) == (2, True)
+        rng = random.Random(5)
+        for _ in range(30):
+            matrix = labelled(*random_sparse_rows(rng, max_items=20))
+            assert run_ensemble(matrix, zero) == run_ensemble(matrix)
+
+
+class TestVoteKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rows())
+    def test_matches_reference_bit_for_bit(self, case):
+        rows, n_labels = case
+        state = run_ensemble(labelled(rows, n_labels))
+        assert (
+            state.predictions,
+            state.weights,
+            state.accuracies,
+            state.iterations_run,
+            state.converged,
+        ) == reference_ensemble(rows, n_labels)
+
+    def test_votes_add_up_in_annotator_order(self):
+        # Summed in annotator order, 0.1 + 0.2 + 0.3 = 0.6000000000000001 beats
+        # annotator 3's 0.6; summed in reverse it is exactly 0.6, a tie that
+        # label 1 wins. Entries go in reverse so the matrix has to sort them.
+        assert (0.1 + 0.2) + 0.3 > 0.6
+        assert (0.3 + 0.2) + 0.1 == 0.6
+        weights = [0.1, 0.2, 0.3, 0.6]
+        entries = {(3, 0): 1, (3, 1): 1}
+        entries.update({(i, j): 2 for i in (2, 1, 0) for j in (1, 0)})
+        matrix = AnnotationMatrix(
+            AttributeSchema("attr", ["a", "b"]), ["a0", "a1", "a2", "a3"], ["p0", "p1"], entries
+        )
+        assert vote_all(matrix, weights) == [2, 2]
+        assert [weighted_vote(matrix, j, weights) for j in range(2)] == [2, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rows(), st.data())
+    def test_exact_ties_under_negative_weights(self, case, data):
+        rows, n_labels = case
+        matrix = labelled(rows, n_labels)
+        weights = data.draw(
+            st.lists(
+                st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                min_size=len(rows),
+                max_size=len(rows),
+            )
+        )
+        for tie_break in ("lowest-index", "highest-index"):
+            expected = [
+                scalar_vote(rows, n_labels, j, weights, tie_break)
+                for j in range(matrix.n_items)
+            ]
+            assert vote_all(matrix, weights, tie_break) == expected
+            assert [
+                weighted_vote(matrix, j, weights, tie_break) for j in range(matrix.n_items)
+            ] == expected
 
 
 class TestEnsembleConfig:

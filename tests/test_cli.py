@@ -1,6 +1,10 @@
 """End-to-end runs of the labelvote command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,28 @@ class TestEvaluate:
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
 
+    def test_empty_truth_exit_2(self, tmp_path):
+        predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        self.write_rows(predictions, [])
+        self.write_rows(truth, [])
+        assert main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)]) == 2
+
+    def test_item_without_votes_abstains(self, tmp_path, capsys):
+        # p4 got no annotation, so aggregate never sees it and writes no
+        # prediction for it; evaluate scores it as a wrong abstention.
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotation_lines(annotations, THREE_BY_FOUR[:3] + THREE_BY_FOUR[4:7])
+        predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        self.write_rows(truth, [("p1", "a"), ("p2", "a"), ("p3", "b"), ("p4", "a")])
+        assert main([
+            "aggregate", "--input", str(annotations), "--attribute", "attr",
+            "--labels", "a,b", "--out", str(predictions),
+        ]) == 0
+        assert [r.item_id for r in read_predictions(predictions)] == ["p1", "p2", "p3"]
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out.strip() == "0.7500"
+
     def test_pipeline_reproduces_ensemble_dominance(self, tmp_path, capsys):
         # simulate -> aggregate -> evaluate, all through the CLI, one seed of
         # the synthetic study: the ensemble must beat its best single worker.
@@ -339,3 +365,15 @@ class TestExtract:
             ]) == 0
             rows = read_predictions(predictions)
             assert [r.label for r in rows] == [expected]
+
+
+def test_import_leaves_http_stack_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    probe = "import sys, labelvote.cli; print('requests' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

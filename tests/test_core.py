@@ -5,6 +5,7 @@ import random
 import pytest
 
 from labelvote import (
+    AnnotationMatrix,
     AnnotationRecord,
     AttributeSchema,
     ConflictError,
@@ -120,6 +121,25 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="attribute"):
             build_matrix(gender_schema, [rec("a1", "p1", "male", attribute="age")])
 
+    def test_conflict_names_first_contradicting_record(self, gender_schema):
+        records = [
+            rec("a1", "p1", "male"),
+            rec("a2", "p1", "female"),
+            rec("a2", "p1", "unisex"),
+            rec("a1", "p1", "female"),
+        ]
+        message = "annotator 'a2' on item 'p1': 'female' vs 'unisex'$"
+        with pytest.raises(ConflictError, match=message):
+            build_matrix(gender_schema, records)
+
+    def test_first_error_in_file_order_wins(self, gender_schema):
+        conflict = [rec("a1", "p1", "male"), rec("a1", "p1", "female")]
+        foreign = [rec("a1", "p2", "male", attribute="age")]
+        with pytest.raises(ConflictError):
+            build_matrix(gender_schema, conflict + foreign)
+        with pytest.raises(ValueError, match="attribute"):
+            build_matrix(gender_schema, foreign + conflict)
+
     def test_permutation_invariant_content(self, gender_schema):
         rng = random.Random(7)
         names = list(gender_schema.labels)
@@ -170,6 +190,35 @@ class TestBuildMatrix:
         ]
         matrix = build_matrix(gender_schema, records)
         assert build_matrix(gender_schema, matrix.to_records()) == matrix
+
+
+class TestAnnotationMatrix:
+    def test_columns_sort_item_major_like_the_mapping(self, gender_schema):
+        ids = (["a1", "a2"], ["p1", "p2"])
+        by_mapping = AnnotationMatrix(gender_schema, *ids, {(1, 0): 2, (0, 1): 1, (0, 0): 3})
+        by_columns = AnnotationMatrix(gender_schema, *ids, ([0, 1, 0], [1, 0, 0], [1, 2, 3]))
+        assert by_columns == by_mapping
+        assert by_columns.items.tolist() == [0, 0, 1]
+        assert by_columns.annotators.tolist() == [0, 1, 0]
+        assert by_columns.labels.tolist() == [3, 2, 1]
+        assert by_columns.by_item == (((0, 3), (1, 2)), ((0, 1),))
+        assert by_columns.by_annotator == (((0, 3), (1, 1)), ((0, 2),))
+
+    def test_rejects_out_of_range_entries(self, gender_schema):
+        for entries in ({(2, 0): 1}, {(-1, 0): 1}, {(0, 1): 1}, {(0, 0): 0}, {(0, 0): 4}):
+            with pytest.raises(ValueError, match="outside"):
+                AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1"], entries)
+
+    def test_repeated_pairs_collapse_or_conflict(self, gender_schema):
+        ids = (["a1"], ["p1"])
+        assert AnnotationMatrix(gender_schema, *ids, ([0, 0], [0, 0], [2, 2])).observed_count == 1
+        with pytest.raises(ConflictError, match="'male' vs 'female'"):
+            AnnotationMatrix(gender_schema, *ids, ([0, 0], [0, 0], [1, 2]))
+
+    def test_columns_are_read_only(self, gender_schema):
+        matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})
+        with pytest.raises(ValueError):
+            matrix.labels[0] = 2
 
 
 class TestAnnotationRecord:
