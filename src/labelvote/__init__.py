@@ -16,12 +16,12 @@ from .core import (
     AttributeSchema,
     ConflictError,
     ExtendedLabel,
+    ProductText,
     build_matrix,
     decode_label,
     encode_label,
 )
 from .extract import (
-    ProductText,
     PromptTemplate,
     SynonymMap,
     default_template,

@@ -26,17 +26,14 @@ IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Loop guard for the aggregation: iteration cap, weight tolerance, ties."""
+    """Loop guard for the aggregation: iteration cap and tie-break rule."""
 
     max_iterations: int = 100
-    weight_tolerance: float = 1e-6
     tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.weight_tolerance < 0:
-            raise ValueError("weight_tolerance must be >= 0")
         if self.tie_break not in TIE_BREAK_RULES:
             raise ValueError(
                 f"unknown tie_break {self.tie_break!r}, expected one of {TIE_BREAK_RULES}"
@@ -157,11 +154,10 @@ def run_ensemble(
 
     Weights start uniform at 1, so iteration 1's predictions are exactly
     the plain majority vote. Convergence means: this iteration's
-    predictions equal the previous iteration's, and no weight moved by
-    more than weight_tolerance. When predictions repeat, the recomputed
-    weights are bitwise identical, so the move is exactly 0 and any
-    tolerance >= 0 accepts it; the returned state is self-consistent:
-    predictions == the weighted vote under the returned weights.
+    predictions equal the previous iteration's. The weights recomputed
+    from repeated predictions are bitwise identical to the last ones, so
+    the returned state is self-consistent: predictions == the weighted
+    vote under the returned weights.
 
     ``on_iteration`` (if given) is called after each iteration with
     (iteration number, predictions, accuracies, updated weights); handy
@@ -181,17 +177,12 @@ def run_ensemble(
         votes = (matrix.items, matrix.labels, np.asarray(weights)[matrix.annotators])
         predictions = _vote(*votes, matrix.n_items, n_labels, config.tie_break)
         accuracies = estimate_accuracies(matrix, predictions)
-        new_weights = update_weights(accuracies, n_labels)
-        delta = max(abs(n - o) for n, o in zip(new_weights, weights))
+        weights = update_weights(accuracies, n_labels)
         if on_iteration is not None:
-            on_iteration(iteration, predictions.tolist(), accuracies, new_weights)
-        stable = (
-            previous_predictions is not None
-            and np.array_equal(predictions, previous_predictions)
-            and delta <= config.weight_tolerance
-        )
-        weights = new_weights
-        if stable:
+            on_iteration(iteration, predictions.tolist(), accuracies, weights)
+        if previous_predictions is not None and np.array_equal(
+            predictions, previous_predictions
+        ):
             converged = True
             break
         previous_predictions = predictions

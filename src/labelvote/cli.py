@@ -7,13 +7,12 @@ Results go to files; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 
 from . import storage
 from .aggregate import EnsembleConfig, run_ensemble
-from .core import AttributeSchema, ConflictError, build_matrix
+from .core import AttributeSchema, _canon, build_matrix
 from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
 from .providers import ProviderError, load_providers
 from .simulate import (
@@ -40,13 +39,11 @@ def _schema_from_args(args) -> AttributeSchema:
     file_attribute = None
     file_labels = None
     if getattr(args, "schema", None):
-        with open(args.schema, encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.schema}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict) or "attribute" not in obj or "labels" not in obj:
-            raise ValueError(f"{args.schema}: expected an object with attribute and labels")
+        obj = storage.read_json(args.schema)
+        try:
+            storage._check_object(obj, ("attribute", "labels"), text=("attribute",))
+        except ValueError as exc:
+            raise ValueError(f"{args.schema}: {exc}") from exc
         file_attribute = obj["attribute"]
         file_labels = obj["labels"]
         if not isinstance(file_labels, list) or not all(
@@ -75,16 +72,11 @@ def _schema_from_args(args) -> AttributeSchema:
 
 def cmd_aggregate(args) -> int:
     schema = _schema_from_args(args)
-    records = storage.read_annotations(args.input)
-    if not records:
-        print("no annotations", file=sys.stderr)
-        return EXIT_FAILURE
-    matrix = build_matrix(schema, records)
+    matrix = build_matrix(schema, storage.read_annotations(args.input))
     if matrix.observed_count == 0:
         print("no annotations", file=sys.stderr)
         return EXIT_FAILURE
-    config = EnsembleConfig(max_iterations=args.max_iter, weight_tolerance=args.tol)
-    state = run_ensemble(matrix, config)
+    state = run_ensemble(matrix, EnsembleConfig(max_iterations=args.max_iter))
     storage.write_predictions(args.out, matrix.item_ids, state.predictions, schema)
     if args.weights_out:
         report = storage.WeightsReport.from_state(
@@ -99,21 +91,15 @@ def cmd_aggregate(args) -> int:
 
 
 def _load_workers(path) -> list[WorkerProfile]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            entries = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+    entries = storage.read_json(path)
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected a non-empty JSON array of workers")
     workers = []
     for n, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: worker #{n} must be an object")
-        unknown = [k for k in entry if k not in ("worker_id", "accuracy", "missing_rate")]
-        if unknown:
-            raise ValueError(f"{path}: worker #{n}: unknown field(s) {', '.join(unknown)}")
         try:
+            storage._check_object(
+                entry, ("worker_id", "accuracy"), ("missing_rate",), ("worker_id",)
+            )
             workers.append(WorkerProfile(**entry))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: worker #{n}: {exc}") from exc
@@ -159,8 +145,8 @@ def cmd_evaluate(args) -> int:
 
     # Labels match trim- and case-insensitively; abstentions, missing items
     # and labels outside the truth vocabulary count as wrong.
-    by_id = {r.item_id: r.label.strip().casefold() for r in predicted if r.label is not None}
-    right = sum(by_id.get(r.item_id) == r.label.strip().casefold() for r in actual)
+    by_id = {r.item_id: _canon(r.label) for r in predicted if r.label is not None}
+    right = sum(by_id.get(r.item_id) == _canon(r.label) for r in actual)
     print(f"{right / len(actual):.4f}")
     return EXIT_OK
 
@@ -178,11 +164,7 @@ def cmd_extract(args) -> int:
             template = PromptTemplate(fh.read())
     synonyms = None
     if args.synonyms:
-        with open(args.synonyms, encoding="utf-8") as fh:
-            try:
-                mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{args.synonyms}: invalid JSON ({exc.msg})") from exc
+        mapping = storage.read_json(args.synonyms)
         if not isinstance(mapping, dict) or not all(
             isinstance(v, str) for v in mapping.values()
         ):
@@ -229,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="annotations JSONL")
     _add_schema_flags(p)
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, help="ignored; kept for compatibility")
     p.add_argument("--out", required=True, help="predictions JSONL to write")
     p.add_argument("--weights-out", help="weights report JSON to write")
     p.set_defaults(func=cmd_aggregate)
@@ -265,16 +247,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConflictError as exc:
+    except ValueError as exc:  # ConflictError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ProviderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
+    except (ProviderError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

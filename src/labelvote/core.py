@@ -97,6 +97,23 @@ class AnnotationRecord:
                 raise ValueError(f"AnnotationRecord.{name} must be non-empty")
 
 
+@dataclass(frozen=True)
+class ProductText:
+    """Unstructured text for one item: the extraction input."""
+
+    item_id: str
+    title: str
+    description: str = ""
+
+    def __post_init__(self):
+        if not self.item_id.strip():
+            raise ValueError("item_id must be non-empty")
+        if not self.title.strip():
+            raise ValueError("title must be non-empty")
+        if not isinstance(self.description, str):
+            raise ValueError("field 'description' must be a string")
+
+
 @dataclass(frozen=True, eq=False)
 class AnnotationMatrix:
     """Sparse N x P matrix of encoded labels over one attribute.

@@ -19,7 +19,9 @@ from importlib.resources import files
 from threading import Lock
 from typing import Mapping, Sequence
 
-from .core import AnnotationRecord, AttributeSchema, ExtendedLabel, encode_label
+from .core import (
+    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, encode_label
+)
 from .providers import Provider, ProviderError
 
 logger = logging.getLogger(__name__)
@@ -27,21 +29,6 @@ logger = logging.getLogger(__name__)
 _PLACEHOLDERS = ("{title}", "{description}", "{attribute}", "{labels}")
 _QUOTE_CHARS = "\"'`“”‘’"
 _TERMINAL_PUNCTUATION = ".,!?;:"
-
-
-@dataclass(frozen=True)
-class ProductText:
-    """Unstructured text for one item: the extraction input."""
-
-    item_id: str
-    title: str
-    description: str = ""
-
-    def __post_init__(self):
-        if not self.item_id.strip():
-            raise ValueError("item_id must be non-empty")
-        if not self.title.strip():
-            raise ValueError("title must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -84,18 +71,13 @@ class SynonymMap:
     mapping: Mapping[str, str]
 
     def __init__(self, mapping: Mapping[str, str]):
-        object.__setattr__(
-            self,
-            "mapping",
-            {k.strip().casefold(): v for k, v in mapping.items()},
-        )
+        object.__setattr__(self, "mapping", {_canon(k): v for k, v in mapping.items()})
 
     @classmethod
     def validated(cls, mapping: Mapping[str, str], schema: AttributeSchema) -> "SynonymMap":
         instance = cls(mapping)
-        known = {l.casefold() for l in schema.labels}
         for surface, target in instance.mapping.items():
-            if target.strip().casefold() not in known:
+            if encode_label(schema, target) == 0:
                 raise ValueError(
                     f"synonym {surface!r} -> {target!r}: target is not a schema label"
                 )
@@ -133,7 +115,7 @@ def parse_response(
         if peeled == text:
             break
         text = peeled
-    text = text.strip().casefold()
+    text = _canon(text)
     if synonyms is not None:
         text = synonyms.canonical(text)
     return encode_label(schema, text)

@@ -9,12 +9,13 @@ counts its in-flight calls so concurrency limits are observable.
 from __future__ import annotations
 
 import importlib
-import json
 import os
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
+
+from .storage import read_json
 
 
 def __getattr__(name):
@@ -221,14 +222,13 @@ def make_provider(config: Mapping[str, object]) -> Provider:
 
 def load_providers(path) -> list[Provider]:
     """Read a providers file: a JSON array of provider objects."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            configs = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+    configs = read_json(path)
     if not isinstance(configs, list) or not configs:
         raise ValueError(f"{path}: expected a non-empty JSON array of providers")
-    providers = [make_provider(c) for c in configs]
+    try:
+        providers = [make_provider(c) for c in configs]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     ids = [p.provider_id for p in providers]
     if len(set(ids)) != len(ids):
         raise ValueError(f"{path}: duplicate provider ids")

@@ -1,8 +1,10 @@
 """Readers and writers for the interchange files.
 
-Annotations and predictions are JSONL (one object per line, UTF-8, LF);
-a weights report is a single JSON document. Readers are strict: unknown
-fields, missing fields, and wrong types are errors, never coerced.
+Annotations, predictions and products are JSONL (one object per line,
+UTF-8, LF); a weights report is a single JSON document, and so are the
+schema, workers, providers and synonyms files, which go through
+``read_json``. Readers are strict: unknown fields, missing fields, and
+wrong types are errors, never coerced.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
 and floats survive a write/read cycle exactly.
@@ -15,12 +17,10 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel
-from .extract import ProductText
+from .core import AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText
 
 _ANNOTATION_FIELDS = ("annotator_id", "item_id", "attribute", "raw_label")
 _PREDICTION_FIELDS = ("item_id", "attribute", "label")
-_PRODUCT_FIELDS = ("item_id", "title", "description")
 _WEIGHTS_FIELDS = ("attribute", "weights", "accuracies", "iterations_run", "converged")
 
 
@@ -31,6 +31,10 @@ class PredictionRecord:
     item_id: str
     attribute: str
     label: str | None
+
+    def __post_init__(self):
+        if self.label is not None and not isinstance(self.label, str):
+            raise ValueError("field 'label' must be a string or null")
 
 
 @dataclass(frozen=True)
@@ -62,20 +66,54 @@ class WeightsReport:
         )
 
 
-def _parse_line(path, line_no: int, line: str, fields: tuple[str, ...]) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+def _check_object(obj, fields, optional=(), text=()) -> None:
+    """Raise ValueError unless ``obj`` is an object with every field of
+    the tuple ``fields``, no field outside ``fields`` and ``optional``,
+    and a non-blank string in each field of ``text``."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}:{line_no}: expected a JSON object")
-    missing = [f for f in fields if f not in obj]
-    if missing:
-        raise ValueError(f"{path}:{line_no}: missing field(s) {', '.join(missing)}")
-    unknown = [k for k in obj if k not in fields]
-    if unknown:
-        raise ValueError(f"{path}:{line_no}: unknown field(s) {', '.join(unknown)}")
-    return obj
+        raise ValueError("expected a JSON object")
+    if tuple(obj) != fields:  # our writers' key order: the common case
+        missing = [f for f in fields if f not in obj]
+        if missing:
+            raise ValueError(f"missing field(s) {', '.join(missing)}")
+        unknown = [k for k in obj if k not in fields and k not in optional]
+        if unknown:
+            raise ValueError(f"unknown field(s) {', '.join(unknown)}")
+    for name in text:
+        value = obj[name]
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"field {name!r} must be a non-empty string")
+
+
+def _read_jsonl(path, make, fields, optional=(), text=()) -> list:
+    """``make(**obj)`` for each line's object, in file order.
+
+    An empty file yields an empty list; a blank or malformed line, or a
+    ValueError from ``make``, raises ValueError prefixed ``path:line:``.
+    """
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if not line.strip():
+                    raise ValueError("blank line")
+                obj = json.loads(line)
+                _check_object(obj, fields, optional, text)
+                records.append(make(**obj))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return records
+
+
+def read_json(path):
+    """Load a whole JSON document; invalid JSON raises ValueError ``path: reason``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
@@ -84,19 +122,7 @@ def read_annotations(path) -> list[AnnotationRecord]:
     An empty file is valid and yields an empty list; any malformed line
     raises with its line number.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"{path}:{line_no}: blank line")
-            obj = _parse_line(path, line_no, line, _ANNOTATION_FIELDS)
-            for name in _ANNOTATION_FIELDS:
-                if not isinstance(obj[name], str) or not obj[name].strip():
-                    raise ValueError(
-                        f"{path}:{line_no}: field {name!r} must be a non-empty string"
-                    )
-            records.append(AnnotationRecord(**obj))
-    return records
+    return _read_jsonl(path, AnnotationRecord, _ANNOTATION_FIELDS, text=_ANNOTATION_FIELDS)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
@@ -145,51 +171,14 @@ def write_predictions(
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Read a predictions (or ground-truth) JSONL file, preserving order."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"{path}:{line_no}: blank line")
-            obj = _parse_line(path, line_no, line, _PREDICTION_FIELDS)
-            for name in ("item_id", "attribute"):
-                if not isinstance(obj[name], str) or not obj[name].strip():
-                    raise ValueError(
-                        f"{path}:{line_no}: field {name!r} must be a non-empty string"
-                    )
-            if obj["label"] is not None and not isinstance(obj["label"], str):
-                raise ValueError(f"{path}:{line_no}: field 'label' must be a string or null")
-            rows.append(PredictionRecord(**obj))
-    return rows
+    return _read_jsonl(path, PredictionRecord, _PREDICTION_FIELDS, text=("item_id", "attribute"))
 
 
 def read_products(path) -> list[ProductText]:
     """Read product texts from JSONL: item_id, title, optional description."""
-    products = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise ValueError(f"{path}:{line_no}: blank line")
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{line_no}: expected a JSON object")
-            unknown = [k for k in obj if k not in _PRODUCT_FIELDS]
-            if unknown:
-                raise ValueError(f"{path}:{line_no}: unknown field(s) {', '.join(unknown)}")
-            for name in ("item_id", "title"):
-                if not isinstance(obj.get(name), str) or not obj[name].strip():
-                    raise ValueError(
-                        f"{path}:{line_no}: field {name!r} must be a non-empty string"
-                    )
-            description = obj.get("description", "")
-            if not isinstance(description, str):
-                raise ValueError(f"{path}:{line_no}: field 'description' must be a string")
-            products.append(
-                ProductText(item_id=obj["item_id"], title=obj["title"], description=description)
-            )
-    return products
+    return _read_jsonl(
+        path, ProductText, ("item_id", "title"), ("description",), ("item_id", "title")
+    )
 
 
 def write_weights(path, report: WeightsReport) -> None:
@@ -208,40 +197,26 @@ def write_weights(path, report: WeightsReport) -> None:
 
 def read_weights(path) -> WeightsReport:
     """Read a weights report, rejecting any deviation from the schema."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    missing = [f for f in _WEIGHTS_FIELDS if f not in obj]
-    if missing:
-        raise ValueError(f"{path}: missing field(s) {', '.join(missing)}")
-    unknown = [k for k in obj if k not in _WEIGHTS_FIELDS]
-    if unknown:
-        raise ValueError(f"{path}: unknown field(s) {', '.join(unknown)}")
-    if not isinstance(obj["attribute"], str) or not obj["attribute"].strip():
-        raise ValueError(f"{path}: 'attribute' must be a non-empty string")
-    for name in ("weights", "accuracies"):
-        mapping = obj[name]
-        if not isinstance(mapping, dict):
-            raise ValueError(f"{path}: {name!r} must be an object")
-        for key, value in mapping.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{path}: {name}[{key!r}] must be a number")
-    if not isinstance(obj["iterations_run"], int) or isinstance(obj["iterations_run"], bool):
-        raise ValueError(f"{path}: 'iterations_run' must be an integer")
-    if obj["iterations_run"] < 0:
-        raise ValueError(f"{path}: 'iterations_run' must be >= 0")
-    if not isinstance(obj["converged"], bool):
-        raise ValueError(f"{path}: 'converged' must be a boolean")
+    obj = read_json(path)
     try:
+        _check_object(obj, _WEIGHTS_FIELDS, text=("attribute",))
+        for name in ("weights", "accuracies"):
+            mapping = obj[name]
+            if not isinstance(mapping, dict):
+                raise ValueError(f"{name!r} must be an object")
+            for key, value in mapping.items():
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"{name}[{key!r}] must be a number")
+        iterations = obj["iterations_run"]
+        if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
+            raise ValueError("'iterations_run' must be an integer >= 0")
+        if not isinstance(obj["converged"], bool):
+            raise ValueError("'converged' must be a boolean")
         return WeightsReport(
             attribute=obj["attribute"],
             weights={k: float(v) for k, v in obj["weights"].items()},
             accuracies={k: float(v) for k, v in obj["accuracies"].items()},
-            iterations_run=obj["iterations_run"],
+            iterations_run=iterations,
             converged=obj["converged"],
         )
     except ValueError as exc:

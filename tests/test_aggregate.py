@@ -342,13 +342,24 @@ class TestRunEnsemble:
 
 
     def test_zero_tolerance_converges_like_the_default(self):
-        zero = EnsembleConfig(weight_tolerance=0.0)
-        state = run_ensemble(make_matrix([[1, 1, 2, 1], [1, 1, 2, 2], [2, 1, 2, 1]]), zero)
+        # Repeated predictions give bitwise-equal weights, so the reference's
+        # smallest possible tolerance stops where its default does, and
+        # where the package's tolerance-free rule does.
+        state = run_ensemble(make_matrix([[1, 1, 2, 1], [1, 1, 2, 2], [2, 1, 2, 1]]))
         assert (state.iterations_run, state.converged) == (2, True)
         rng = random.Random(5)
         for _ in range(30):
-            matrix = labelled(*random_sparse_rows(rng, max_items=20))
-            assert run_ensemble(matrix, zero) == run_ensemble(matrix)
+            rows, n_labels = random_sparse_rows(rng, max_items=20)
+            state = run_ensemble(labelled(rows, n_labels))
+            expected = reference_ensemble(rows, n_labels, weight_tolerance=5e-324)
+            assert expected == reference_ensemble(rows, n_labels)
+            assert (
+                state.predictions,
+                state.weights,
+                state.accuracies,
+                state.iterations_run,
+                state.converged,
+            ) == expected
 
 
 class TestVoteKernel:
@@ -407,7 +418,5 @@ class TestEnsembleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            EnsembleConfig(weight_tolerance=-1e-9)
         with pytest.raises(ValueError):
             EnsembleConfig(tie_break="coin-flip")

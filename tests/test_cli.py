@@ -173,6 +173,7 @@ class TestSimulate:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
+        assert f"{workers_file}: worker #1: accuracy 1.7 outside [0, 1]" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -365,6 +366,91 @@ class TestExtract:
             ]) == 0
             rows = read_predictions(predictions)
             assert [r.label for r in rows] == [expected]
+
+
+@pytest.mark.parametrize("flag", ["--schema", "--workers", "--synonyms", "--providers"])
+def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops", encoding="utf-8")
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([{"kind": "mock", "provider_id": "m1"}]), encoding="utf-8")
+    extract = ["extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b"]
+    argv = {
+        "--schema": ["aggregate", "--input", str(annotations)],
+        "--workers": ["simulate", "--items", "10", "--labels", "a,b", "--seed", "1"],
+        "--synonyms": extract + ["--providers", str(providers)],
+        "--providers": extract,
+    }[flag]
+    code = main(argv + [flag, str(bad), "--out", str(tmp_path / "out.jsonl")])
+    assert code == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ("w1", "worker #1: expected a JSON object"),
+        ({"worker_id": "w1"}, "worker #1: missing field(s) accuracy"),
+        ({"worker_id": "w1", "accuracy": 0.9, "skill": 1}, "worker #1: unknown field(s) skill"),
+        ({"worker_id": 7, "accuracy": 0.9}, "worker #1: field 'worker_id' must be a non-empty"),
+    ],
+    ids=["non-object", "missing field", "unknown field", "non-string id"],
+)
+def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
+    workers_file = tmp_path / "workers.json"
+    workers_file.write_text(json.dumps([entry]), encoding="utf-8")
+    code = main([
+        "simulate", "--items", "10", "--labels", "a,b", "--workers", str(workers_file),
+        "--seed", "1", "--out", str(tmp_path / "x.jsonl"),
+    ])
+    assert code == 2
+    assert f"{workers_file}: {reason}" in capsys.readouterr().err
+
+
+def test_bad_provider_entry_names_the_file(tmp_path, capsys):
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([{"kind": "carrier-pigeon"}]), encoding="utf-8")
+    code = main([
+        "extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b",
+        "--providers", str(providers), "--out", str(tmp_path / "out.jsonl"),
+    ])
+    assert code == 2
+    assert f"{providers}: unknown provider kind 'carrier-pigeon'" in capsys.readouterr().err
+
+
+def test_schema_file_unknown_field_exit_2(tmp_path, capsys):
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    schema_file = tmp_path / "schema.json"
+    schema_file.write_text(
+        json.dumps({"attribute": "attr", "labels": ["a", "b"], "note": "x"}), encoding="utf-8"
+    )
+    code = main([
+        "aggregate", "--input", str(annotations), "--schema", str(schema_file),
+        "--out", str(tmp_path / "out.jsonl"),
+    ])
+    assert code == 2
+    assert f"{schema_file}: unknown field(s) note" in capsys.readouterr().err
+
+
+def test_tol_is_accepted_and_ignored(tmp_path):
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    outputs = []
+    for tol in ([], ["--tol", "0"], ["--tol", "-1"], ["--tol", "0.5"]):
+        out = tmp_path / f"out{len(outputs)}.jsonl"
+        assert main([
+            "aggregate", "--input", str(annotations), "--attribute", "attr",
+            "--labels", "a,b", "--out", str(out), *tol,
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert len(set(outputs)) == 1
 
 
 def test_import_leaves_http_stack_unloaded():

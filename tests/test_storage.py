@@ -230,3 +230,84 @@ class TestProducts:
         path.write_text(json.dumps({"item_id": "p1"}) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":1"):
             read_products(path)
+
+    def test_non_string_description_rejected(self, tmp_path):
+        path = tmp_path / "products.jsonl"
+        row = {"item_id": "p1", "title": "Socks", "description": None}
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_products(path)
+        assert str(excinfo.value) == f"{path}:1: field 'description' must be a string"
+
+
+# One valid line per JSONL reader, the field each case drops and the text
+# field each case blanks; every reader shares the same line checks.
+READERS = {
+    "annotations": (
+        read_annotations,
+        {"annotator_id": "a1", "item_id": "p1", "attribute": "g", "raw_label": "x"},
+        "item_id",
+        "raw_label",
+    ),
+    "predictions": (
+        read_predictions, {"item_id": "p1", "attribute": "g", "label": "x"}, "attribute", "item_id"
+    ),
+    "products": (
+        read_products, {"item_id": "p1", "title": "Socks", "description": ""}, "title", "title"
+    ),
+}
+
+
+def bad_line(case, valid, required, text):
+    if case == "blank line":
+        return "  "
+    if case == "invalid JSON":
+        return '{"item_id": oops}'
+    if case == "non-object":
+        return json.dumps([valid])
+    if case == "missing field":
+        return json.dumps({k: v for k, v in valid.items() if k != required})
+    if case == "unknown field":
+        return json.dumps({**valid, "confidence": 0.9})
+    return json.dumps({**valid, text: " "})
+
+
+REASONS = {
+    "blank line": "blank line",
+    "invalid JSON": "invalid JSON (Expecting value)",
+    "non-object": "expected a JSON object",
+    "missing field": "missing field(s) {required}",
+    "unknown field": "unknown field(s) confidence",
+    "blank text field": "field {text!r} must be a non-empty string",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", list(REASONS))
+def test_reader_rejects_bad_line_with_its_number(tmp_path, reader, case):
+    read, valid, required, text = READERS[reader]
+    reason = REASONS[case]
+    path = tmp_path / f"{reader}.jsonl"
+    path.write_text(
+        json.dumps(valid) + "\n" + bad_line(case, valid, required, text) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}:2: " + reason.format(required=required, text=text)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("{", "invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("[]", "expected a JSON object"),
+        ('{"attribute": "g"}', "missing field(s) weights, accuracies, iterations_run, converged"),
+    ],
+    ids=["invalid JSON", "non-object", "missing fields"],
+)
+def test_weights_reader_names_the_file(tmp_path, text, reason):
+    path = tmp_path / "w.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_weights(path)
+    assert str(excinfo.value) == f"{path}: {reason}"
