@@ -51,10 +51,12 @@ from .storage import (
     PredictionRecord,
     WeightsReport,
     read_annotations,
+    read_matrix,
     read_predictions,
     read_products,
     read_weights,
     write_annotations,
+    write_matrix,
     write_matrix_csv,
     write_predictions,
     write_weights,

@@ -12,7 +12,7 @@ from collections import Counter
 
 from . import storage
 from .aggregate import EnsembleConfig, run_ensemble
-from .core import AttributeSchema, _canon, build_matrix
+from .core import AttributeSchema, _canon
 from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
 from .providers import ProviderError, load_providers
 from .simulate import (
@@ -72,7 +72,7 @@ def _schema_from_args(args) -> AttributeSchema:
 
 def cmd_aggregate(args) -> int:
     schema = _schema_from_args(args)
-    matrix = build_matrix(schema, storage.read_annotations(args.input))
+    matrix = storage.read_matrix(args.input, schema)
     if matrix.observed_count == 0:
         print("no annotations", file=sys.stderr)
         return EXIT_FAILURE
@@ -114,7 +114,7 @@ def cmd_simulate(args) -> int:
     )
     truth = generate_ground_truth(config)
     matrix = simulate_annotations(config, truth)
-    storage.write_annotations(args.out, matrix.to_records())
+    storage.write_matrix(args.out, matrix)
     if args.truth_out:
         storage.write_predictions(args.truth_out, matrix.item_ids, truth, schema)
     print(
@@ -135,7 +135,7 @@ def cmd_evaluate(args) -> int:
     # A truth item with no prediction got no usable annotation: it abstains.
     if not {r.item_id for r in predicted} <= {r.item_id for r in actual}:
         raise ValueError("item-id mismatch: predictions name items not in the truth file")
-    if {r.attribute for r in predicted} != {r.attribute for r in actual}:
+    if predicted and {r.attribute for r in predicted} != {r.attribute for r in actual}:
         raise ValueError("attribute mismatch between predictions and truth")
     if any(r.label is None for r in actual):
         raise ValueError("truth file contains null labels")

@@ -96,6 +96,10 @@ class AnnotationRecord:
             if not str(getattr(self, name)).strip():
                 raise ValueError(f"AnnotationRecord.{name} must be non-empty")
 
+    def __iter__(self):
+        """Unpack as the row ``build_matrix`` reads: the four fields in order."""
+        return iter((self.annotator_id, self.item_id, self.attribute, self.raw_label))
+
 
 @dataclass(frozen=True)
 class ProductText:
@@ -232,25 +236,27 @@ class AnnotationMatrix:
 
     def to_records(self) -> list[AnnotationRecord]:
         """Decode stored entries back to records, annotator-major order."""
-        order = np.lexsort((self.items, self.annotators))
         attribute, names = self.schema.attribute_name, self.schema.labels
         return [
             AnnotationRecord(self.annotator_ids[i], self.item_ids[j], attribute, names[v - 1])
-            for i, j, v in zip(
-                self.annotators[order].tolist(),
-                self.items[order].tolist(),
-                self.labels[order].tolist(),
-            )
+            for i, j, v in self._annotator_major()
         ]
+
+    def _annotator_major(self):
+        """(annotator, item, label) index triples in ``to_records`` order."""
+        order = np.lexsort((self.items, self.annotators))
+        return zip(*(c[order].tolist() for c in (self.annotators, self.items, self.labels)))
 
 
 def build_matrix(
-    schema: AttributeSchema, records: Iterable[AnnotationRecord]
+    schema: AttributeSchema, records: Iterable[AnnotationRecord | tuple]
 ) -> AnnotationMatrix:
     """Assemble an annotation matrix from records for one attribute.
 
-    Annotator and item orderings are first-appearance order among records
-    that carry an in-vocabulary label. Records whose raw_label encodes to
+    A record may also be an (annotator_id, item_id, attribute, raw_label)
+    tuple, as ``storage.read_matrix`` streams them. Annotator and item
+    orderings are first-appearance order among records that carry an
+    in-vocabulary label. Records whose raw_label encodes to
     missing contribute nothing at all (not even id registration), so an
     out-of-vocabulary record is indistinguishable from an omitted one.
     Agreeing duplicates of an (annotator, item) pair collapse to one entry.
@@ -258,6 +264,8 @@ def build_matrix(
     Raises ConflictError when the same (annotator, item) pair carries two
     different in-vocabulary labels, naming the first contradicting record;
     a silent overwrite would corrupt every downstream accuracy estimate.
+    A record of another attribute raises ValueError once the rest are read,
+    unless reading them fails or a conflict precedes it.
     """
     annotator_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -265,23 +273,24 @@ def build_matrix(
     annotators: list[int] = []
     items: list[int] = []
     labels: list[ExtendedLabel] = []
-    for record in records:
-        if record.attribute != schema.attribute_name:
-            # A conflict among the records before this one is reported first.
+    rows = iter(records)
+    for annotator_id, item_id, attribute, raw_label in rows:
+        if attribute != schema.attribute_name:
+            list(rows)  # read the rest first: see the docstring
             AnnotationMatrix(
                 schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
             )
             raise ValueError(
-                f"record attribute {record.attribute!r} does not match "
+                f"record attribute {attribute!r} does not match "
                 f"schema attribute {schema.attribute_name!r}"
             )
-        value = codes.get(record.raw_label)
+        value = codes.get(raw_label)
         if value is None:
-            value = codes[record.raw_label] = encode_label(schema, record.raw_label)
+            value = codes[raw_label] = encode_label(schema, raw_label)
         if value == 0:
             continue
-        annotators.append(annotator_index.setdefault(record.annotator_id, len(annotator_index)))
-        items.append(item_index.setdefault(record.item_id, len(item_index)))
+        annotators.append(annotator_index.setdefault(annotator_id, len(annotator_index)))
+        items.append(item_index.setdefault(item_id, len(item_index)))
         labels.append(value)
 
     return AnnotationMatrix(

@@ -15,13 +15,23 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .core import AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText
+from .core import (
+    AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, build_matrix
+)
 
 _ANNOTATION_FIELDS = ("annotator_id", "item_id", "attribute", "raw_label")
+# JSONL line templates: filled with each value's _dumps, a line is json.dumps of its object.
+_ANNOTATION_HEAD = '{"annotator_id": %s, "item_id": '
+_ANNOTATION_TAIL = ', "attribute": %s, "raw_label": %s}\n'
+_PREDICTION_LINE = '{"item_id": %s, "attribute": %s, "label": %s}\n'
 _PREDICTION_FIELDS = ("item_id", "attribute", "label")
 _WEIGHTS_FIELDS = ("attribute", "weights", "accuracies", "iterations_run", "converged")
+# json.dumps(value, ensure_ascii=False), without a new encoder per call.
+_dumps = json.JSONEncoder(ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -85,26 +95,33 @@ def _check_object(obj, fields, optional=(), text=()) -> None:
             raise ValueError(f"field {name!r} must be a non-empty string")
 
 
-def _read_jsonl(path, make, fields, optional=(), text=()) -> list:
-    """``make(**obj)`` for each line's object, in file order.
+def _read_jsonl(path, make, fields, optional=(), text=()):
+    """Yield ``make(obj)`` for each line's object, in file order.
 
-    An empty file yields an empty list; a blank or malformed line, or a
-    ValueError from ``make``, raises ValueError prefixed ``path:line:``.
+    A line that is not UTF-8, blank or malformed, or a ValueError from
+    ``make``, raises ValueError prefixed ``path:line:``. Only lines the
+    faster ``raw_decode`` fails on or leaves more than the LF of go to
+    ``json.loads``, so it alone decides what is valid and how errors read.
     """
-    records = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             try:
-                if not line.strip():
-                    raise ValueError("blank line")
-                obj = json.loads(line)
+                line = line.decode("utf-8")
+                try:
+                    obj, end = _raw_decode(line)
+                    parsed = line[end:] in ("\n", "")
+                except json.JSONDecodeError:
+                    parsed = False
+                if not parsed:
+                    if not line.strip():
+                        raise ValueError("blank line")
+                    obj = json.loads(line)
                 _check_object(obj, fields, optional, text)
-                records.append(make(**obj))
+                yield make(obj)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    return records
 
 
 def read_json(path):
@@ -114,6 +131,8 @@ def read_json(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
@@ -122,24 +141,39 @@ def read_annotations(path) -> list[AnnotationRecord]:
     An empty file is valid and yields an empty list; any malformed line
     raises with its line number.
     """
-    return _read_jsonl(path, AnnotationRecord, _ANNOTATION_FIELDS, text=_ANNOTATION_FIELDS)
+    return [AnnotationRecord(*row) for row in _annotation_rows(path)]
+
+
+def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
+    """``build_matrix(schema, read_annotations(path))`` without the records."""
+    return build_matrix(schema, _annotation_rows(path))
+
+
+def _annotation_rows(path):
+    fields = _ANNOTATION_FIELDS
+    return _read_jsonl(path, itemgetter(*fields), fields, text=fields)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "annotator_id": r.annotator_id,
-                        "item_id": r.item_id,
-                        "attribute": r.attribute,
-                        "raw_label": r.raw_label,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        fh.writelines(
+            _ANNOTATION_HEAD % _dumps(r.annotator_id) + _dumps(r.item_id)
+            + _ANNOTATION_TAIL % (_dumps(r.attribute), _dumps(r.raw_label))
+            for r in records
+        )
+
+
+def write_matrix(path, matrix: AnnotationMatrix) -> None:
+    """``write_annotations(path, matrix.to_records())`` without the records:
+    a line is a head per annotator, the item id and a tail per label."""
+    heads = [_ANNOTATION_HEAD % _dumps(a) for a in matrix.annotator_ids]
+    item_ids = [_dumps(j) for j in matrix.item_ids]
+    attribute = _dumps(matrix.schema.attribute_name)
+    tails = [_ANNOTATION_TAIL % (attribute, _dumps(l)) for l in matrix.schema.labels]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(
+            heads[i] + item_ids[j] + tails[v - 1] for i, j, v in matrix._annotator_major()
+        )
 
 
 def write_predictions(
@@ -153,32 +187,25 @@ def write_predictions(
         raise ValueError(
             f"length mismatch: {len(item_ids)} item ids vs {len(predictions)} predictions"
         )
+    attribute = _dumps(schema.attribute_name)
+    labels = ["null", *map(_dumps, schema.labels)]  # indexed by encoded label
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for item_id, value in zip(item_ids, predictions):
-            label = None if value == 0 else schema.labels[value - 1]
-            fh.write(
-                json.dumps(
-                    {
-                        "item_id": item_id,
-                        "attribute": schema.attribute_name,
-                        "label": label,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        fh.writelines(
+            _PREDICTION_LINE % (_dumps(item_id), attribute, labels[value])
+            for item_id, value in zip(item_ids, predictions)
+        )
 
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Read a predictions (or ground-truth) JSONL file, preserving order."""
-    return _read_jsonl(path, PredictionRecord, _PREDICTION_FIELDS, text=("item_id", "attribute"))
+    make = lambda obj: PredictionRecord(**obj)
+    return list(_read_jsonl(path, make, _PREDICTION_FIELDS, text=("item_id", "attribute")))
 
 
 def read_products(path) -> list[ProductText]:
     """Read product texts from JSONL: item_id, title, optional description."""
-    return _read_jsonl(
-        path, ProductText, ("item_id", "title"), ("description",), ("item_id", "title")
-    )
+    fields = ("item_id", "title")
+    return list(_read_jsonl(path, lambda obj: ProductText(**obj), fields, ("description",), fields))
 
 
 def write_weights(path, report: WeightsReport) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from labelvote import read_annotations, read_predictions, read_weights
+from labelvote import AnnotationRecord, read_annotations, read_predictions, read_weights
 from labelvote.cli import main
 
 THREE_BY_FOUR = [
@@ -212,6 +212,14 @@ class TestEvaluate:
         self.write_rows(truth, [])
         assert main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)]) == 2
 
+    def test_empty_predictions_score_zero(self, tmp_path, capsys):
+        # Every truth item is missing from the predictions: all abstain.
+        predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+        self.write_rows(predictions, [])
+        self.write_rows(truth, [("p1", "a"), ("p2", "b")])
+        assert main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)]) == 0
+        assert capsys.readouterr().out.strip() == "0.0000"
+
     def test_item_without_votes_abstains(self, tmp_path, capsys):
         # p4 got no annotation, so aggregate never sees it and writes no
         # prediction for it; evaluate scores it as a wrong abstention.
@@ -368,10 +376,22 @@ class TestExtract:
             assert [r.label for r in rows] == [expected]
 
 
-@pytest.mark.parametrize("flag", ["--schema", "--workers", "--synonyms", "--providers"])
-def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag):
+DOCUMENT_FLAGS = ["--schema", "--workers", "--synonyms", "--providers"]
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "flag, content, reason",
+    [pytest.param(flag, b"{oops", "{bad}: invalid JSON", id=flag) for flag in DOCUMENT_FLAGS]
+    + [
+        pytest.param(flag, b"\xff", f"{{bad}}: {NOT_UTF8}", id=f"{flag} non-UTF-8")
+        for flag in DOCUMENT_FLAGS
+    ]
+    + [pytest.param("--input", b"\xff", f"{{bad}}:1: {NOT_UTF8}", id="--input non-UTF-8")],
+)
+def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag, content, reason):
     bad = tmp_path / "bad.json"
-    bad.write_text("{oops", encoding="utf-8")
+    bad.write_bytes(content)
     annotations = tmp_path / "annotations.jsonl"
     write_annotation_lines(annotations, THREE_BY_FOUR)
     products = tmp_path / "products.jsonl"
@@ -380,6 +400,7 @@ def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag):
     providers.write_text(json.dumps([{"kind": "mock", "provider_id": "m1"}]), encoding="utf-8")
     extract = ["extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b"]
     argv = {
+        "--input": ["aggregate", "--attribute", "attr", "--labels", "a,b"],
         "--schema": ["aggregate", "--input", str(annotations)],
         "--workers": ["simulate", "--items", "10", "--labels", "a,b", "--seed", "1"],
         "--synonyms": extract + ["--providers", str(providers)],
@@ -387,7 +408,30 @@ def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag):
     }[flag]
     code = main(argv + [flag, str(bad), "--out", str(tmp_path / "out.jsonl")])
     assert code == 2
-    assert f"{bad}: invalid JSON" in capsys.readouterr().err
+    assert reason.format(bad=bad) in capsys.readouterr().err
+
+
+def test_cli_chain_builds_no_annotation_record(tmp_path, monkeypatch):
+    # simulate writes annotation lines straight from the matrix columns and
+    # aggregate reads them straight into columns: no AnnotationRecord.
+    def refuse(record):
+        raise AssertionError("an AnnotationRecord was built")
+
+    monkeypatch.setattr(AnnotationRecord, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        AnnotationRecord("a1", "p1", "attr", "a")
+    workers_file = tmp_path / "workers.json"
+    workers_file.write_text(json.dumps(TABLE_WORKERS), encoding="utf-8")
+    annotations, predictions = tmp_path / "a.jsonl", tmp_path / "p.jsonl"
+    assert main([
+        "simulate", "--items", "50", "--labels", "a,b,c", "--workers", str(workers_file),
+        "--seed", "5", "--out", str(annotations),
+    ]) == 0
+    assert main([
+        "aggregate", "--input", str(annotations), "--attribute", "attr", "--labels", "a,b,c",
+        "--out", str(predictions),
+    ]) == 0
+    assert len(read_predictions(predictions)) == 50
 
 
 @pytest.mark.parametrize(

@@ -6,15 +6,18 @@ import random
 import pytest
 
 from labelvote import (
+    AnnotationMatrix,
     AnnotationRecord,
     AttributeSchema,
     WeightsReport,
     build_matrix,
     read_annotations,
+    read_matrix,
     read_predictions,
     read_products,
     read_weights,
     write_annotations,
+    write_matrix,
     write_matrix_csv,
     write_predictions,
     write_weights,
@@ -263,6 +266,12 @@ def bad_line(case, valid, required, text):
         return "  "
     if case == "invalid JSON":
         return '{"item_id": oops}'
+    if case == "extra data":
+        return json.dumps(valid) + " x"
+    if case == "UTF-8 BOM":
+        return "\ufeff" + json.dumps(valid)
+    if case == "non-UTF-8":
+        return "\udcff"  # written as the byte 0xff
     if case == "non-object":
         return json.dumps([valid])
     if case == "missing field":
@@ -275,6 +284,9 @@ def bad_line(case, valid, required, text):
 REASONS = {
     "blank line": "blank line",
     "invalid JSON": "invalid JSON (Expecting value)",
+    "extra data": "invalid JSON (Extra data)",
+    "UTF-8 BOM": "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+    "non-UTF-8": "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     "non-object": "expected a JSON object",
     "missing field": "missing field(s) {required}",
     "unknown field": "unknown field(s) confidence",
@@ -288,12 +300,23 @@ def test_reader_rejects_bad_line_with_its_number(tmp_path, reader, case):
     read, valid, required, text = READERS[reader]
     reason = REASONS[case]
     path = tmp_path / f"{reader}.jsonl"
-    path.write_text(
-        json.dumps(valid) + "\n" + bad_line(case, valid, required, text) + "\n", encoding="utf-8"
-    )
+    content = json.dumps(valid) + "\n" + bad_line(case, valid, required, text) + "\n"
+    path.write_bytes(content.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError) as excinfo:
         read(path)
     assert str(excinfo.value) == f"{path}:2: " + reason.format(required=required, text=text)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize(
+    "template", ["  {}\n", "{}\r\n", "\t{} \n", "{}"], ids=["indent", "CRLF", "padded", "no LF"]
+)
+def test_reader_accepts_what_json_loads_accepts(tmp_path, reader, template):
+    read, valid, _, _ = READERS[reader]
+    plain, padded = tmp_path / "plain.jsonl", tmp_path / "padded.jsonl"
+    plain.write_text(json.dumps(valid) + "\n", encoding="utf-8")
+    padded.write_bytes(template.format(json.dumps(valid)).encode("utf-8"))
+    assert read(padded) == read(plain)
 
 
 @pytest.mark.parametrize(
@@ -311,3 +334,144 @@ def test_weights_reader_names_the_file(tmp_path, text, reason):
     with pytest.raises(ValueError) as excinfo:
         read_weights(path)
     assert str(excinfo.value) == f"{path}: {reason}"
+
+
+def test_weights_reader_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_bytes(b"\xff")
+    with pytest.raises(ValueError) as excinfo:
+        read_weights(path)
+    assert str(excinfo.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
+
+
+FIELDS = ("annotator_id", "item_id", "attribute", "raw_label")
+# Text json.dumps escapes or must leave alone: quotes, backslashes, a tab,
+# U+2028, non-ASCII letters, and "%" (the line templates are %-formats).
+AWKWARD = ['say "hi"', "back\\slash", "100%s %d", "tab\there", "line\u2028sep", "köln 垃圾"]
+
+
+def read_outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def fused_and_staged(path, schema):
+    fused = read_outcome(read_matrix, path, schema)
+    staged = read_outcome(lambda: build_matrix(schema, read_annotations(path)))
+    return fused, staged
+
+
+class TestReadMatrix:
+    def test_matches_records_path_on_random_files(self, tmp_path):
+        schema = AttributeSchema("gender", ["male", "Female", "unisex"])
+        surface = ["male", " MALE", "female", "Female ", "unisex", "kid", "n/a", "köln"]
+        rng = random.Random(7)
+        for case in range(60):
+            labels = {
+                (f"a{rng.randint(1, 6)}", f"p{rng.randint(1, 40)}"): rng.choice(surface)
+                for _ in range(rng.randint(0, 80))
+            }
+            rows = [
+                {"annotator_id": a, "item_id": p, "attribute": "gender", "raw_label": label}
+                for (a, p), label in labels.items()
+            ]
+            # Agreeing repeats, some in another spelling of the same label.
+            rows += [{**row, "raw_label": row["raw_label"].upper()} for row in rows[::3]]
+            rng.shuffle(rows)
+            path = tmp_path / f"m-{case}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+            fused, staged = fused_and_staged(path, schema)
+            assert fused == staged
+
+    @pytest.mark.parametrize(
+        "lines, expected",
+        [
+            (["a1 p1 g x", "a1 p2 other x", "broken"], ":3: invalid JSON"),
+            (["a1 p1 g x", "a1 p1 g y", "a1 p2 other x"], "conflicting labels for annotator"),
+            (["a1 p1 other x", "a1 p1 g x", "a1 p1 g y"], "does not match schema attribute"),
+        ],
+        ids=["line error beats mismatch", "conflict beats mismatch", "mismatch beats later conflict"],
+    )
+    def test_error_precedence_matches_records_path(self, tmp_path, lines, expected):
+        schema = AttributeSchema("g", ["x", "y"])
+        path = tmp_path / "a.jsonl"
+        text = ""
+        for line in lines:
+            fields = line.split()
+            text += (line if len(fields) != 4 else json.dumps(dict(zip(FIELDS, fields)))) + "\n"
+        path.write_text(text, encoding="utf-8")
+        fused, staged = fused_and_staged(path, schema)
+        assert fused == staged
+        assert expected in fused[1]
+
+    def test_empty_file_gives_empty_matrix(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        path.write_text("", encoding="utf-8")
+        schema = AttributeSchema("g", ["x", "y"])
+        assert read_matrix(path, schema) == build_matrix(schema, [])
+
+
+class TestLineFormat:
+    def awkward_matrix(self):
+        schema = AttributeSchema('at"tr%s', AWKWARD[:4])
+        annotators, items = AWKWARD[2:], [f"{w}-{k}" for k, w in enumerate(AWKWARD * 2)]
+        entries = {
+            (i, j): 1 + (i * 7 + j) % 4
+            for i in range(len(annotators))
+            for j in range(len(items))
+            if (i + j) % 3
+        }
+        return AnnotationMatrix(schema, annotators, items, entries)
+
+    def test_write_matrix_equals_write_annotations_of_its_records(self, tmp_path):
+        matrix = self.awkward_matrix()
+        fused, staged = tmp_path / "fused.jsonl", tmp_path / "staged.jsonl"
+        write_matrix(fused, matrix)
+        write_annotations(staged, matrix.to_records())
+        assert fused.read_bytes() == staged.read_bytes()
+        assert read_matrix(fused, matrix.schema) == build_matrix(
+            matrix.schema, matrix.to_records()
+        )
+
+    def test_annotation_lines_are_json_dumps_of_the_record(self, tmp_path):
+        records = self.awkward_matrix().to_records()
+        path = tmp_path / "a.jsonl"
+        write_annotations(path, records)
+        expected = "".join(
+            json.dumps(dict(zip(FIELDS, record)), ensure_ascii=False) + "\n" for record in records
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_prediction_lines_are_json_dumps_of_the_record(self, tmp_path):
+        schema = AttributeSchema('at"tr%s', AWKWARD)
+        item_ids = [f"{w}-{k}" for k, w in enumerate(AWKWARD * 3)]
+        predictions = [k % (len(AWKWARD) + 1) for k in range(len(item_ids))]
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, item_ids, predictions, schema)
+        expected = "".join(
+            json.dumps(
+                {
+                    "item_id": item_id,
+                    "attribute": schema.attribute_name,
+                    "label": None if value == 0 else schema.labels[value - 1],
+                },
+                ensure_ascii=False,
+            )
+            + "\n"
+            for item_id, value in zip(item_ids, predictions)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_only_lf_ends_a_line(tmp_path):
+    path = tmp_path / "a.jsonl"
+    row = json.dumps({"annotator_id": "a1", "item_id": "p1", "attribute": "g", "raw_label": "x"})
+    path.write_bytes(f"{row}\r{row}\r".encode("utf-8"))
+    with pytest.raises(ValueError) as excinfo:
+        read_annotations(path)
+    assert str(excinfo.value) == f"{path}:1: invalid JSON (Extra data)"
