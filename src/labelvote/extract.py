@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib.resources import files
@@ -121,15 +122,49 @@ def parse_response(
     return encode_label(schema, text)
 
 
+class _FifoSlots:
+    """Counting semaphore whose release hands the slot to the longest waiter.
+
+    With ``threading.Semaphore`` the releasing thread can take the slot
+    back before the woken waiter runs, so one provider's lanes could
+    keep the cap to themselves.
+    """
+
+    def __init__(self, size: int):
+        self._lock = Lock()
+        self._free = size
+        self._waiters: deque[Lock] = deque()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return
+            gate = Lock()
+            gate.acquire()
+            self._waiters.append(gate)
+        gate.acquire()  # released by the thread that hands over its slot
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._free += 1
+
+
+def _lane_count(provider: Provider, max_in_flight: int, n_products: int) -> int:
+    """Threads that query one provider: one unless it is concurrency-safe."""
+    return min(max_in_flight, n_products) if provider.concurrency_safe else 1
+
+
 def _complete_with_retries(
-    provider: Provider, prompt: str, lock: Lock | None, retry_backoff: float
+    provider: Provider, prompt: str, slots: _FifoSlots, retry_backoff: float
 ) -> str | None:
     for attempt in range(1, provider.max_retries + 1):
         try:
-            if lock is not None:
-                with lock:
-                    return provider.complete(prompt)
-            return provider.complete(prompt)
+            with slots:
+                return provider.complete(prompt)
         except ProviderError as exc:
             if attempt == provider.max_retries:
                 logger.warning(
@@ -137,8 +172,12 @@ def _complete_with_retries(
                     provider.provider_id, attempt, exc,
                 )
                 return None
-            if retry_backoff > 0:
-                time.sleep(retry_backoff * 2 ** (attempt - 1))
+        except Exception:  # a provider bug costs this request, not the batch
+            logger.warning("provider %s: unexpected error, not retried",
+                           provider.provider_id, exc_info=True)
+            return None
+        if retry_backoff > 0:
+            time.sleep(retry_backoff * 2 ** (attempt - 1))
     return None
 
 
@@ -153,13 +192,19 @@ def extract_labels(
 ) -> list[AnnotationRecord]:
     """Query every provider about every product and collect the records.
 
-    Requests run concurrently, never more than ``max_in_flight`` at once;
-    providers that declare themselves not concurrency-safe are serialized
-    individually. Providers failing their preflight (bad credentials) are
-    dropped before the batch. A request that still fails after the
-    provider's retry budget, or returns only whitespace, produces no
-    record; the aggregation sees a missing entry there. Output order is
-    (provider-major, product-minor) regardless of completion order.
+    ``max_in_flight`` caps the concurrent ``complete()`` calls across all
+    providers together. Each provider has its own lanes (threads) pulling
+    its next product on demand: up to ``max_in_flight`` of them, but a
+    provider that is not concurrency-safe gets one lane, so it holds at
+    most one slot. Slots are handed out in the order lanes asked for
+    them, so no provider keeps the cap to itself, and a lane sleeping
+    through a retry's backoff holds no slot. Providers failing their
+    preflight (bad credentials) are dropped before the batch. A request
+    that still fails after the provider's retry budget, raises anything
+    other than ``ProviderError`` (logged, not retried), or returns only
+    whitespace produces no record; the aggregation sees a missing entry
+    there. Output order is (provider-major, product-minor) regardless of
+    completion order.
     """
     if not products:
         raise ValueError("at least one product is required")
@@ -180,32 +225,30 @@ def extract_labels(
         live.append(provider)
 
     prompts = [render_prompt(template, product, schema) for product in products]
-    locks: dict[str, Lock] = {
-        p.provider_id: Lock() for p in live if not p.concurrency_safe
-    }
-    results: dict[tuple[int, int], str] = {}
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        futures = {}
-        for pi, provider in enumerate(live):
-            for pj, prompt in enumerate(prompts):
-                future = pool.submit(
-                    _complete_with_retries,
-                    provider,
-                    prompt,
-                    locks.get(provider.provider_id),
-                    retry_backoff,
-                )
-                futures[future] = (pi, pj)
-        for future, key in futures.items():
-            response = future.result()
-            if response is not None and response.strip():
-                results[key] = response
+    slots = _FifoSlots(max_in_flight)
+    results: list[list[str | None]] = [[None] * len(prompts) for _ in live]
+
+    def run_lane(provider: Provider, pending: deque[int], responses: list) -> None:
+        while True:
+            try:
+                pj = pending.popleft()
+            except IndexError:
+                return
+            responses[pj] = _complete_with_retries(provider, prompts[pj], slots, retry_backoff)
+
+    lanes = [_lane_count(p, max_in_flight, len(prompts)) for p in live]
+    with ThreadPoolExecutor(max_workers=max(1, sum(lanes))) as pool:
+        futures = []
+        for provider, responses, count in zip(live, results, lanes):
+            pending = deque(range(len(prompts)))
+            futures += [pool.submit(run_lane, provider, pending, responses) for _ in range(count)]
+        for future in futures:
+            future.result()
 
     records = []
-    for pi, provider in enumerate(live):
-        for pj, product in enumerate(products):
-            response = results.get((pi, pj))
-            if response is None:
+    for provider, responses in zip(live, results):
+        for product, response in zip(products, responses):
+            if response is None or not response.strip():
                 continue
             if parse_response(response, schema, synonyms) == 0:
                 logger.info(

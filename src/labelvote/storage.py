@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, build_matrix
 )
@@ -187,6 +189,9 @@ def write_predictions(
         raise ValueError(
             f"length mismatch: {len(item_ids)} item ids vs {len(predictions)} predictions"
         )
+    codes = np.asarray(predictions)
+    if codes.size and not 0 <= codes.min() <= codes.max() <= len(schema.labels):
+        raise ValueError(f"encoded labels must lie in 0..{len(schema.labels)}")
     attribute = _dumps(schema.attribute_name)
     labels = ["null", *map(_dumps, schema.labels)]  # indexed by encoded label
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,5 +1,9 @@
 """Prompt rendering, response parsing, and the extraction engine."""
 
+import logging
+import sys
+import threading
+
 import pytest
 
 from labelvote import (
@@ -20,6 +24,7 @@ from labelvote import (
     parse_response,
     render_prompt,
 )
+from labelvote.extract import _lane_count
 
 GARANIMALS = ProductText(
     item_id="sku-1",
@@ -241,6 +246,168 @@ class TestExtractLabels:
             extract_labels([], gender_schema, [MockProvider("m", default_response="x")])
         with pytest.raises(ValueError):
             extract_labels(self.products(1), gender_schema, [])
+
+
+class CallLog:
+    """Calls shared by several providers: start order and peak concurrency."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.starts = []  # provider ids in the order their calls began
+
+
+class Logged(MockProvider):
+    """A MockProvider that also reports each call to a shared CallLog."""
+
+    def __init__(self, provider_id, log, **options):
+        super().__init__(provider_id, default_response=provider_id, **options)
+        self.log = log
+
+    def complete(self, prompt: str) -> str:
+        with self.log.lock:
+            self.log.in_flight += 1
+            self.log.peak = max(self.log.peak, self.log.in_flight)
+            self.log.starts.append(self.provider_id)
+        try:
+            return super().complete(prompt)
+        finally:
+            with self.log.lock:
+                self.log.in_flight -= 1
+
+
+class RaisesOn(Provider):
+    """Answers fixed text, but a bug raises TypeError for one prompt."""
+
+    def __init__(self, provider_id, marker):
+        self.provider_id = provider_id
+        self.marker = marker
+        self.prompts = []
+
+    def complete(self, prompt: str) -> str:
+        self.prompts.append(prompt)
+        if self.marker in prompt:
+            raise TypeError("provider bug")
+        return "male"
+
+
+def extract_within(timeout, *args, **kwargs):
+    """Run extract_labels in a helper thread: a lost slot handoff fails, not hangs."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["records"] = extract_labels(*args, **kwargs)
+        except BaseException as exc:  # handed to the test thread below
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "extract_labels did not finish"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["records"]
+
+
+class TestScheduler:
+    def products(self, count):
+        return [ProductText(f"sku-{n}", f"Product number {n}") for n in range(count)]
+
+    def test_cap_holds_across_providers(self, gender_schema):
+        log = CallLog()
+        providers = [Logged(f"m{k}", log, delay=0.001) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # 12 lanes contend for 3 slots at every bytecode
+        try:
+            records = extract_within(
+                10, self.products(12), gender_schema, providers,
+                max_in_flight=3, retry_backoff=0.0,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(records) == 48
+        assert len(log.starts) == 48
+        assert log.peak <= 3
+
+    def test_unsafe_provider_takes_one_slot(self, gender_schema):
+        log = CallLog()
+        serial = Logged("serial", log, delay=0.005, concurrency_safe=False)
+        providers = [Logged("a", log, delay=0.005), serial, Logged("b", log, delay=0.005)]
+        extract_within(
+            10, self.products(8), gender_schema, providers,
+            max_in_flight=4, retry_backoff=0.0,
+        )
+        assert serial.calls == 8
+        assert serial.max_in_flight == 1
+        assert log.peak <= 4
+
+    def test_backoff_holds_no_slot(self, gender_schema):
+        log = CallLog()
+        a = Logged("a", log, fail_times=1, max_retries=2)
+        b = Logged("b", log)
+        records = extract_within(
+            10, self.products(5), gender_schema, [a, b],
+            max_in_flight=1, retry_backoff=0.3,
+        )
+        assert len(records) == 10
+        a_calls = [n for n, pid in enumerate(log.starts) if pid == "a"]
+        b_calls = [n for n, pid in enumerate(log.starts) if pid == "b"]
+        # a's first call failed; every call of b ran while a slept before retrying.
+        assert len(b_calls) == 5
+        assert max(b_calls) < a_calls[1]
+
+    def test_freed_slot_goes_to_the_longest_waiter(self, gender_schema):
+        log = CallLog()
+        providers = [Logged("a", log, delay=0.005), Logged("b", log, delay=0.005)]
+        extract_within(
+            10, self.products(5), gender_schema, providers,
+            max_in_flight=1, retry_backoff=0.0,
+        )
+        # One slot, two lanes: a lane that releases the slot and asks again
+        # queues behind the other instead of taking it back at once, so the
+        # calls alternate (9 switches) rather than run as two blocks (1).
+        switches = sum(x != y for x, y in zip(log.starts, log.starts[1:]))
+        assert switches >= 6
+
+    def test_mixed_providers_keep_provider_major_order(self, gender_schema):
+        log = CallLog()
+        providers = [
+            Logged("slow", log, delay=0.01),
+            Logged("retry", log, fail_times=2, max_retries=3),
+            Logged("serial", log, delay=0.002, concurrency_safe=False),
+            Logged("plain", log),
+        ]
+        records = extract_within(
+            10, self.products(6), gender_schema, providers,
+            max_in_flight=2, retry_backoff=0.01,
+        )
+        assert [(r.annotator_id, r.item_id, r.raw_label) for r in records] == [
+            (p.provider_id, f"sku-{n}", p.provider_id) for p in providers for n in range(6)
+        ]
+        assert log.peak <= 2
+
+    def test_lane_count(self):
+        safe = MockProvider("safe", default_response="x")
+        serial = MockProvider("serial", default_response="x", concurrency_safe=False)
+        assert _lane_count(safe, 64, 3) == 3
+        assert _lane_count(safe, 2, 200) == 2
+        assert _lane_count(serial, 64, 3) == 1
+
+    def test_provider_bug_costs_one_request(self, gender_schema, caplog):
+        buggy = RaisesOn("buggy", marker="number 2")
+        providers = [buggy, MockProvider("m2", default_response="female")]
+        with caplog.at_level(logging.WARNING, logger="labelvote.extract"):
+            records = extract_within(
+                10, self.products(4), gender_schema, providers,
+                max_in_flight=2, retry_backoff=0.0,
+            )
+        assert [(r.annotator_id, r.item_id) for r in records] == [
+            ("buggy", "sku-0"), ("buggy", "sku-1"), ("buggy", "sku-3"),
+        ] + [("m2", f"sku-{n}") for n in range(4)]
+        assert len(buggy.prompts) == 4  # the failing request is not retried
+        assert any("buggy" in r.getMessage() for r in caplog.records)
 
 
 class FakeResponse:

@@ -129,6 +129,13 @@ class TestPredictions:
         with pytest.raises(ValueError):
             write_predictions(tmp_path / "p.jsonl", ["p1"], [1, 2], gender_schema)
 
+    @pytest.mark.parametrize("value", [-1, 4])
+    def test_out_of_range_label_writes_nothing(self, tmp_path, gender_schema, value):
+        path = tmp_path / "p.jsonl"
+        with pytest.raises(ValueError, match="0..3"):
+            write_predictions(path, ["p1", "p2"], [1, value], gender_schema)
+        assert not path.exists()
+
 
 class TestWeights:
     def report(self, converged=True):
