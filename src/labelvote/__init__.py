@@ -35,6 +35,7 @@ from .providers import (
     MockProvider,
     Provider,
     ProviderError,
+    ProviderRejectedError,
     ProviderRequestError,
     ProviderSpec,
     load_providers,
@@ -52,12 +53,12 @@ from .storage import (
     WeightsReport,
     read_annotations,
     read_matrix,
+    read_prediction_rows,
     read_predictions,
     read_products,
     read_weights,
     write_annotations,
     write_matrix,
-    write_matrix_csv,
     write_predictions,
     write_weights,
 )

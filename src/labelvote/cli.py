@@ -126,18 +126,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    predicted = storage.read_predictions(args.predictions)
-    actual = storage.read_predictions(args.truth)
+    predicted = storage.read_prediction_rows(args.predictions)
+    actual = storage.read_prediction_rows(args.truth)
     for name, rows in (("predictions", predicted), ("truth", actual)):
-        ids = [r.item_id for r in rows]
+        ids = [row[0] for row in rows]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate item ids in {name} file")
     # A truth item with no prediction got no usable annotation: it abstains.
-    if not {r.item_id for r in predicted} <= {r.item_id for r in actual}:
+    if not {row[0] for row in predicted} <= {row[0] for row in actual}:
         raise ValueError("item-id mismatch: predictions name items not in the truth file")
-    if predicted and {r.attribute for r in predicted} != {r.attribute for r in actual}:
+    if predicted and {row[1] for row in predicted} != {row[1] for row in actual}:
         raise ValueError("attribute mismatch between predictions and truth")
-    if any(r.label is None for r in actual):
+    if any(label is None for _, _, label in actual):
         raise ValueError("truth file contains null labels")
 
     if not actual:
@@ -145,8 +145,8 @@ def cmd_evaluate(args) -> int:
 
     # Labels match trim- and case-insensitively; abstentions, missing items
     # and labels outside the truth vocabulary count as wrong.
-    by_id = {r.item_id: _canon(r.label) for r in predicted if r.label is not None}
-    right = sum(by_id.get(r.item_id) == _canon(r.label) for r in actual)
+    by_id = {item_id: _canon(label) for item_id, _, label in predicted if label is not None}
+    right = sum(by_id.get(item_id) == _canon(label) for item_id, _, label in actual)
     print(f"{right / len(actual):.4f}")
     return EXIT_OK
 

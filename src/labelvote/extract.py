@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .core import (
     AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, encode_label
 )
-from .providers import Provider, ProviderError
+from .providers import Provider, ProviderError, ProviderRejectedError
 
 logger = logging.getLogger(__name__)
 
@@ -164,9 +164,12 @@ def _complete_with_retries(
     for attempt in range(1, provider.max_retries + 1):
         try:
             with slots:
-                return provider.complete(prompt)
+                response = provider.complete(prompt)
+            if not isinstance(response, str):
+                raise TypeError(f"complete() returned {type(response).__name__}, not str")
+            return response
         except ProviderError as exc:
-            if attempt == provider.max_retries:
+            if attempt == provider.max_retries or isinstance(exc, ProviderRejectedError):
                 logger.warning(
                     "provider %s: giving up after %d attempt(s): %s",
                     provider.provider_id, attempt, exc,
@@ -200,11 +203,11 @@ def extract_labels(
     them, so no provider keeps the cap to itself, and a lane sleeping
     through a retry's backoff holds no slot. Providers failing their
     preflight (bad credentials) are dropped before the batch. A request
-    that still fails after the provider's retry budget, raises anything
-    other than ``ProviderError`` (logged, not retried), or returns only
-    whitespace produces no record; the aggregation sees a missing entry
-    there. Output order is (provider-major, product-minor) regardless of
-    completion order.
+    that fails past its retry budget or with ``ProviderRejectedError``,
+    raises a non-``ProviderError`` or returns a non-string (logged, not
+    retried), or returns only whitespace produces no record; aggregation
+    sees a missing entry there. Output order is (provider-major,
+    product-minor) regardless of completion order.
     """
     if not products:
         raise ValueError("at least one product is required")

@@ -38,6 +38,10 @@ class ProviderRequestError(ProviderError):
     """A single completion request failed (network, HTTP, or bad payload)."""
 
 
+class ProviderRejectedError(ProviderRequestError):
+    """The endpoint refused the request itself (HTTP 4xx but 429): retrying cannot help."""
+
+
 @dataclass(frozen=True)
 class ProviderSpec:
     """Configuration for one HTTP provider.
@@ -134,7 +138,8 @@ class HttpProvider(Provider):
                 f"provider {self.provider_id!r}: request failed: {exc}"
             ) from exc
         if response.status_code != 200:
-            raise ProviderRequestError(
+            rejected = 400 <= response.status_code < 500 and response.status_code != 429
+            raise (ProviderRejectedError if rejected else ProviderRequestError)(
                 f"provider {self.provider_id!r}: HTTP {response.status_code}"
             )
         try:

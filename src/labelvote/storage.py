@@ -5,6 +5,12 @@ UTF-8, LF); a weights report is a single JSON document, and so are the
 schema, workers, providers and synonyms files, which go through
 ``read_json``. Readers are strict: unknown fields, missing fields, and
 wrong types are errors, never coerced.
+Annotation and prediction files are read in blocks of about 16 KiB: a
+block whose lines all have the writers' exact shape is split by one
+compiled pattern, any other goes line by line through ``json.loads``.
+Any line ``json.loads`` accepts reads the same either way, and errors
+keep their text and line number. ``labelvote evaluate`` reads
+(item_id, attribute, label) rows and builds no ``PredictionRecord``.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
 and floats survive a write/read cycle exactly.
@@ -12,9 +18,9 @@ and floats survive a write/read cycle exactly.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import astuple, dataclass
 from operator import itemgetter
 from typing import Sequence
 
@@ -33,7 +39,18 @@ _PREDICTION_FIELDS = ("item_id", "attribute", "label")
 _WEIGHTS_FIELDS = ("attribute", "weights", "accuracies", "iterations_run", "converged")
 # json.dumps(value, ensure_ascii=False), without a new encoder per call.
 _dumps = json.JSONEncoder(ensure_ascii=False).encode
-_raw_decode = json.JSONDecoder().raw_decode
+
+# The writers' line shapes, one match per line. A string slot holds no '"',
+# '\', control character or blank text (\s is what str.strip() strips), so
+# it is what json.loads returns; a null label leaves the slot's group empty.
+_STRING = r'"(?!\s*")([^"\\\x00-\x1f]*)"'
+_ANNOTATION_SHAPE = re.compile(
+    "^" + re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL[:-1]) % ((_STRING,) * 4) + "$", re.M
+)
+_PREDICTION_SHAPE = re.compile(
+    "^" + re.escape(_PREDICTION_LINE[:-1]) % (_STRING, _STRING, f"(?:{_STRING}|null)") + "$", re.M
+)
+_BLOCK = 1 << 14  # bytes; a block's rows live at once: 1 MiB blocks cost ~9 MiB of RSS
 
 
 @dataclass(frozen=True)
@@ -97,33 +114,42 @@ def _check_object(obj, fields, optional=(), text=()) -> None:
             raise ValueError(f"field {name!r} must be a non-empty string")
 
 
-def _read_jsonl(path, make, fields, optional=(), text=()):
+def _read_jsonl(path, make, fields, optional=(), text=(), shape=None):
     """Yield ``make(obj)`` for each line's object, in file order.
 
     A line that is not UTF-8, blank or malformed, or a ValueError from
-    ``make``, raises ValueError prefixed ``path:line:``. Only lines the
-    faster ``raw_decode`` fails on or leaves more than the LF of go to
-    ``json.loads``, so it alone decides what is valid and how errors read.
+    ``make``, raises ValueError prefixed ``path:line:``. Lines come in
+    blocks of about ``_BLOCK`` bytes. Given a ``shape`` (block text -> the
+    rows ``make`` would build), a block that decodes and has a row for
+    each line skips the per-line parse.
     """
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        first = 1
+        while lines := fh.readlines(_BLOCK):
             try:
-                line = line.decode("utf-8")
-                try:
-                    obj, end = _raw_decode(line)
-                    parsed = line[end:] in ("\n", "")
-                except json.JSONDecodeError:
-                    parsed = False
-                if not parsed:
-                    if not line.strip():
-                        raise ValueError("blank line")
-                    obj = json.loads(line)
-                _check_object(obj, fields, optional, text)
-                yield make(obj)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+                rows = shape(b"".join(lines).decode("utf-8")) if shape else ()
+            except UnicodeDecodeError:
+                rows = ()
+            yield from rows if len(rows) == len(lines) else _parse_lines(
+                path, lines, first, make, fields, optional, text
+            )
+            first += len(lines)
+
+
+def _parse_lines(path, lines, first, make, fields, optional, text):
+    """The per-line path, numbering ``lines`` from ``first``."""
+    for line_no, line in enumerate(lines, start=first):
+        try:
+            line = line.decode("utf-8")
+            if not line.strip():
+                raise ValueError("blank line")
+            obj = json.loads(line)
+            _check_object(obj, fields, optional, text)
+            yield make(obj)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
 
 
 def read_json(path):
@@ -153,7 +179,7 @@ def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
 
 def _annotation_rows(path):
     fields = _ANNOTATION_FIELDS
-    return _read_jsonl(path, itemgetter(*fields), fields, text=fields)
+    return _read_jsonl(path, itemgetter(*fields), fields, (), fields, _ANNOTATION_SHAPE.findall)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
@@ -203,8 +229,14 @@ def write_predictions(
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Read a predictions (or ground-truth) JSONL file, preserving order."""
-    make = lambda obj: PredictionRecord(**obj)
-    return list(_read_jsonl(path, make, _PREDICTION_FIELDS, text=("item_id", "attribute")))
+    return [PredictionRecord(*row) for row in read_prediction_rows(path)]
+
+
+def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
+    """``read_predictions`` as (item_id, attribute, label) tuples."""
+    make = lambda obj: astuple(PredictionRecord(**obj))  # only on lines the pattern skips
+    shape = lambda text: [(i, a, label or None) for i, a, label in _PREDICTION_SHAPE.findall(text)]
+    return list(_read_jsonl(path, make, _PREDICTION_FIELDS, (), _PREDICTION_FIELDS[:2], shape))
 
 
 def read_products(path) -> list[ProductText]:
@@ -253,16 +285,3 @@ def read_weights(path) -> WeightsReport:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def write_matrix_csv(path, matrix: AnnotationMatrix) -> None:
-    """Dense CSV dump of a matrix, for small-matrix debugging only."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["annotator_id", *matrix.item_ids])
-        for i, annotator_id in enumerate(matrix.annotator_ids):
-            row = []
-            for j in range(matrix.n_items):
-                value = matrix.label_for(i, j)
-                row.append("" if value == 0 else matrix.schema.labels[value - 1])
-            writer.writerow([annotator_id, *row])

@@ -14,6 +14,7 @@ from labelvote import (
     ProductText,
     PromptTemplate,
     Provider,
+    ProviderRejectedError,
     ProviderRequestError,
     ProviderSpec,
     SynonymMap,
@@ -292,6 +293,18 @@ class RaisesOn(Provider):
         return "male"
 
 
+class ReturnsInt(Provider):
+    """A provider bug: complete() returns an int instead of text."""
+
+    def __init__(self, provider_id):
+        self.provider_id = provider_id
+        self.calls = 0
+
+    def complete(self, prompt: str) -> str:
+        self.calls += 1
+        return 5
+
+
 def extract_within(timeout, *args, **kwargs):
     """Run extract_labels in a helper thread: a lost slot handoff fails, not hangs."""
     outcome = {}
@@ -409,6 +422,20 @@ class TestScheduler:
         assert len(buggy.prompts) == 4  # the failing request is not retried
         assert any("buggy" in r.getMessage() for r in caplog.records)
 
+    def test_non_string_response_costs_only_its_requests(self, gender_schema, caplog):
+        broken = ReturnsInt("broken")
+        providers = [broken, MockProvider("m2", default_response="female")]
+        with caplog.at_level(logging.WARNING, logger="labelvote.extract"):
+            records = extract_within(
+                10, self.products(3), gender_schema, providers,
+                max_in_flight=2, retry_backoff=0.0,
+            )
+        assert [(r.annotator_id, r.item_id, r.raw_label) for r in records] == [
+            ("m2", f"sku-{n}", "female") for n in range(3)
+        ]
+        assert broken.calls == 3  # one per product: not retried
+        assert any("broken" in r.getMessage() for r in caplog.records)
+
 
 class FakeResponse:
     def __init__(self, status_code=200, payload=None):
@@ -455,6 +482,27 @@ class TestHttpProvider:
         )
         with pytest.raises(ProviderRequestError, match="503"):
             HttpProvider(self.spec()).complete("x")
+
+    @pytest.mark.parametrize("status, attempts", [(400, 1), (404, 1), (429, 3), (503, 3)])
+    def test_only_429_and_5xx_are_retried(self, monkeypatch, gender_schema, status, attempts):
+        monkeypatch.setenv("PROV_TEST_KEY", "secret")
+        posts = []
+
+        def fake_post(*args, **kwargs):
+            posts.append(status)
+            return FakeResponse(status)
+
+        monkeypatch.setattr("labelvote.providers.requests.post", fake_post)
+        provider = HttpProvider(self.spec())
+        assert provider.max_retries == 3
+        records = extract_within(
+            10, [ProductText("sku-1", "Socks")], gender_schema, [provider], retry_backoff=0.0
+        )
+        assert records == []
+        assert len(posts) == attempts
+        with pytest.raises(ProviderRequestError) as excinfo:
+            provider.complete("x")
+        assert isinstance(excinfo.value, ProviderRejectedError) == (attempts == 1)
 
     def test_bad_payload_raises_request_error(self, monkeypatch):
         monkeypatch.setenv("PROV_TEST_KEY", "secret")

@@ -2,8 +2,11 @@
 
 import json
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labelvote import (
     AnnotationMatrix,
@@ -13,15 +16,16 @@ from labelvote import (
     build_matrix,
     read_annotations,
     read_matrix,
+    read_prediction_rows,
     read_predictions,
     read_products,
     read_weights,
     write_annotations,
     write_matrix,
-    write_matrix_csv,
     write_predictions,
     write_weights,
 )
+from labelvote import storage
 
 WORDS = ["male", "female", "unisex", "n/a", "none", "köln", "垃圾", "yes no"]
 
@@ -206,21 +210,6 @@ class TestWeights:
         write_weights(first, self.report())
         write_weights(second, self.report())
         assert first.read_bytes() == second.read_bytes()
-
-
-class TestMatrixCsv:
-    def test_dense_dump(self, tmp_path, gender_schema):
-        records = [
-            AnnotationRecord("a1", "p1", "gender", "male"),
-            AnnotationRecord("a1", "p2", "gender", "female"),
-            AnnotationRecord("a2", "p1", "gender", "unisex"),
-        ]
-        matrix = build_matrix(gender_schema, records)
-        path = tmp_path / "m.csv"
-        write_matrix_csv(path, matrix)
-        assert path.read_text(encoding="utf-8") == (
-            "annotator_id,p1,p2\na1,male,female\na2,unisex,\n"
-        )
 
 
 class TestProducts:
@@ -482,3 +471,212 @@ def test_only_lf_ends_a_line(tmp_path):
     with pytest.raises(ValueError) as excinfo:
         read_annotations(path)
     assert str(excinfo.value) == f"{path}:1: invalid JSON (Extra data)"
+
+
+# A pattern that matches nothing sends every block down the per-line path.
+NO_SHAPE = re.compile("(?!)")
+
+
+def strict_outcome(read, *args):
+    """``read_outcome`` with the whole file as one block and no line pattern:
+    the per-line ``json.loads`` path alone."""
+    with mock.patch.multiple(
+        storage, _BLOCK=1 << 30, _ANNOTATION_SHAPE=NO_SHAPE, _PREDICTION_SHAPE=NO_SHAPE
+    ):
+        return read_outcome(read, *args)
+
+
+def annotation_line(n, label="x", item=None):
+    row = dict(zip(FIELDS, (f"a{n % 7}", item or f"p{n}", "g", label)))
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
+def lines_past(size, start=0):
+    """Canonical annotation lines, numbered from ``start``, until ``size`` bytes."""
+    lines, total = [], 0
+    while total < size:
+        lines.append(annotation_line(start + len(lines), label=["x", "y"][len(lines) % 2]))
+        total += len(lines[-1].encode("utf-8"))
+    return lines
+
+
+class TestBlocks:
+    """Files of more than two ``_BLOCK``-sized blocks."""
+
+    schema = AttributeSchema("g", ["x", "y", "垃"])
+
+    def expected(self, lines):
+        rows = [tuple(json.loads(line).values()) for line in lines]
+        return [AnnotationRecord(*row) for row in rows]
+
+    def write(self, path, lines, newline="\n"):
+        path.write_bytes("".join(lines).replace("\n", newline).encode("utf-8"))
+
+    def test_canonical_blocks_skip_the_per_line_parse(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        lines = lines_past(3 * storage._BLOCK)
+        self.write(path, lines)
+        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+            assert read_annotations(path) == self.expected(lines)
+            matrix = read_matrix(path, self.schema)
+        assert matrix == build_matrix(self.schema, self.expected(lines))
+        assert slow.call_count == 0
+
+    def test_malformed_line_in_second_block_names_its_line(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        lines = lines_past(3 * storage._BLOCK)
+        head = lines_past(storage._BLOCK + 1000)
+        bad = len(head)  # 0-based index of a line well inside the second block
+        lines[bad] = '{"annotator_id": oops}\n'
+        self.write(path, lines)
+        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+            outcome = read_outcome(read_annotations, path)
+        assert outcome == (ValueError, f"{path}:{bad + 1}: invalid JSON (Expecting value)")
+        assert outcome == strict_outcome(read_annotations, path)
+        assert read_outcome(read_matrix, path, self.schema) == outcome
+        # Only the second block took the per-line path, numbered from its first line.
+        assert slow.call_count == 1
+        first = slow.call_args.args[2]
+        assert 1 < first <= bad + 1 < first + len(slow.call_args.args[1])
+
+    @pytest.mark.parametrize("shift", range(-8, 3))
+    def test_multibyte_character_at_the_cut(self, tmp_path, shift):
+        """The label's 3-byte character starts ``shift`` bytes from the block size."""
+        path = tmp_path / "a.jsonl"
+        special = annotation_line(0, label="垃", item="q")
+        prefix = len(special.encode("utf-8").split("垃".encode("utf-8"))[0])
+        head = lines_past(storage._BLOCK - prefix + shift - 200, start=1)
+        gap = storage._BLOCK + shift - prefix - len("".join(head).encode("utf-8"))
+        pad = annotation_line(0, item="z")
+        pad = annotation_line(0, item="z" * (gap - len(pad) + 1))
+        lines = head + [pad, special] + lines_past(2 * storage._BLOCK, start=len(head) + 1)
+        self.write(path, lines)
+        content = "".join(lines).encode("utf-8")
+        assert content.index("垃".encode("utf-8")) == storage._BLOCK + shift
+        assert read_annotations(path) == self.expected(lines)
+        assert read_outcome(read_matrix, path, self.schema) == strict_outcome(
+            read_matrix, path, self.schema
+        )
+
+    def test_no_final_lf(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        lines = lines_past(2 * storage._BLOCK + 500)
+        lines[-1] = lines[-1].rstrip("\n")
+        self.write(path, lines)
+        assert read_annotations(path) == self.expected(lines)
+        lines[-1] = "{"
+        self.write(path, lines)
+        reason = f"{len(lines)}: invalid JSON (Expecting property name enclosed in double quotes)"
+        assert read_outcome(read_annotations, path) == (ValueError, f"{path}:{reason}")
+
+    def test_crlf_file_takes_the_per_line_path(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        lines = lines_past(2 * storage._BLOCK + 500)
+        self.write(path, lines, newline="\r\n")
+        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+            assert read_annotations(path) == self.expected(lines)
+        assert slow.call_count >= 3
+        lines[-2] = "[]\n"
+        self.write(path, lines, newline="\r\n")
+        outcome = read_outcome(read_annotations, path)
+        assert outcome == (ValueError, f"{path}:{len(lines) - 1}: expected a JSON object")
+        assert outcome == strict_outcome(read_annotations, path)
+
+    def test_bom_file_takes_the_per_line_path(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        lines = lines_past(2 * storage._BLOCK + 500)
+        lines[0] = "\ufeff" + lines[0]
+        self.write(path, lines)
+        outcome = read_outcome(read_annotations, path)
+        assert outcome == (
+            ValueError,
+            f"{path}:1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))",
+        )
+        assert outcome == strict_outcome(read_annotations, path)
+
+    def test_predictions_with_null_and_blank_labels(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        labels = ["x", None, "垃", "", " ", "\u2028"]
+        rows = [(f"p{n}", "g", labels[n % len(labels)]) for n in range(8000)]
+        path.write_text(
+            "".join(json.dumps(dict(zip(("item_id", "attribute", "label"), row))) + "\n"
+                    for row in rows),
+            encoding="utf-8",
+        )
+        assert read_prediction_rows(path) == rows
+        assert read_predictions(path) == strict_outcome(read_predictions, path)
+        canonical = [row for row in rows if row[2] is None or (row[2] and row[2].strip())]
+        path.write_text(
+            "".join(json.dumps(dict(zip(("item_id", "attribute", "label"), row)),
+                               ensure_ascii=False) + "\n" for row in canonical),
+            encoding="utf-8",
+        )
+        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+            assert read_prediction_rows(path) == canonical
+        assert slow.call_count == 0
+
+
+# Values the writers emit as they are, and values a line can differ by: blank
+# or whitespace-only text (as str.strip() sees it), quotes, backslashes, a tab,
+# raw escapes such as \\u00e9 (escapes when embedded unescaped), null, numbers.
+PLAIN = ["a1", "p1", "g", "x", "köln 垃圾", "line\u2028sep", "yes no", "%s", "/"]
+ODD_TEXT = ["", " ", "\u3000", "\x85", "\u2028", "\xa0x", 'say "hi"', "back\\slash", "tab\t",
+            "\\u00e9", "\\u2028", "\x7f", "é"]
+ODD = ODD_TEXT + [None, 0]
+RAW_LINES = [b"", b"  ", b"{", b"[]", b"null", b"\xff", b"{} x", "\ufeff{}".encode("utf-8")]
+PADS = [("", " "), (" ", ""), ("", "\r"), ("\t", "\r"), ("", "}"), ("x", "")]  # or garbage
+CHANGES = ["raw", "value", "reorder", "drop", "extra", "duplicate", "separators", "ascii",
+           "unescaped", "pad"]
+
+
+@st.composite
+def jsonl_files(draw, fields):
+    """Bytes of a JSONL file in the writers' shape, where a share of the
+    lines differs from it in a way ``json.loads`` accepts or rejects."""
+    share = draw(st.sampled_from([0, 0, 0.1, 0.5]))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        pairs = [(f, draw(st.sampled_from(PLAIN + [None] * (f == "label")))) for f in fields]
+        change = draw(st.sampled_from(CHANGES)) if draw(st.floats(0, 1)) < share else None
+        if change == "raw":
+            lines.append(draw(st.sampled_from(RAW_LINES)))
+            continue
+        if change == "value":
+            k = draw(st.integers(0, len(pairs) - 1))
+            pairs[k] = (pairs[k][0], draw(st.sampled_from(ODD)))
+        elif change == "reorder":
+            pairs = draw(st.permutations(pairs))
+        elif change == "drop":
+            pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        elif change == "extra":
+            pairs.insert(draw(st.integers(0, len(pairs))), ("extra", "x"))
+        elif change == "duplicate":
+            pairs.append(draw(st.sampled_from(pairs)))
+        comma, colon = (",", ":") if change == "separators" else (", ", ": ")
+        encode = lambda value: json.dumps(value, ensure_ascii=change == "ascii")
+        if change == "unescaped":  # may be invalid JSON, or read as another string
+            encode = lambda value: f'"{value}"' if isinstance(value, str) else json.dumps(value)
+            k = draw(st.integers(0, len(pairs) - 1))
+            pairs[k] = (pairs[k][0], draw(st.sampled_from(ODD_TEXT)))
+        body = comma.join(f'"{key}"{colon}{encode(value)}' for key, value in pairs)
+        lead, trail = ("", "") if change != "pad" else draw(st.sampled_from(PADS))
+        line = f"{lead}{{{body}}}{trail}"
+        lines.append(line.encode("utf-8"))
+    return b"\n".join(lines) + (b"\n" if lines and draw(st.booleans()) else b"")
+
+
+@pytest.mark.parametrize(
+    "fields, read",
+    [(FIELDS, read_annotations), (("item_id", "attribute", "label"), read_prediction_rows)],
+    ids=["annotations", "predictions"],
+)
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), block=st.integers(1, 400))
+def test_fast_reader_matches_the_per_line_path(tmp_path, fields, read, data, block):
+    path = tmp_path / "f.jsonl"
+    path.write_bytes(data.draw(jsonl_files(fields)))
+    with mock.patch.object(storage, "_BLOCK", block):
+        fast = read_outcome(read, path)
+    assert fast == strict_outcome(read, path)
