@@ -3,6 +3,7 @@
 # votes, and score the consensus against the generated ground truth.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, aggregate them, and check the consensus.
+# Last, check that a mistyped provider option exits 2 and writes nothing.
 # Usage: scripts/pipeline.sh [output-dir]
 set -eu
 
@@ -42,3 +43,15 @@ grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/
   echo "pipeline: extract leg did not predict female for sku-1" >&2
   exit 1
 }
+
+# A mistyped provider option is invalid input: exit 2 at load, no output file.
+echo '[{"kind": "mock", "provider_id": "m1", "delay": "x"}]' > "$out/bad-providers.json"
+rm -f "$out/bad-extracted.jsonl"
+set +e
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/bad-providers.json" --out "$out/bad-extracted.jsonl"
+status=$?
+set -e
+if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
+  echo "pipeline: extract with a mistyped provider option exited $status, not 2, or wrote output" >&2
+  exit 1
+fi

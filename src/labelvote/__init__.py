@@ -37,7 +37,6 @@ from .providers import (
     ProviderError,
     ProviderRejectedError,
     ProviderRequestError,
-    ProviderSpec,
     load_providers,
     make_provider,
 )

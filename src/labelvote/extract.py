@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 _PLACEHOLDERS = ("{title}", "{description}", "{attribute}", "{labels}")
 _QUOTE_CHARS = "\"'`“”‘’"
 _TERMINAL_PUNCTUATION = ".,!?;:"
+RETRY_BACKOFF_S = 0.5  # wait before a second attempt, doubling for each later one
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,7 @@ def _lane_count(provider: Provider, max_in_flight: int, n_products: int) -> int:
     return min(max_in_flight, n_products) if provider.concurrency_safe else 1
 
 
-def _complete_with_retries(
-    provider: Provider, prompt: str, slots: _FifoSlots, retry_backoff: float
-) -> str | None:
+def _complete_with_retries(provider: Provider, prompt: str, slots: _FifoSlots) -> str | None:
     for attempt in range(1, provider.max_retries + 1):
         try:
             with slots:
@@ -175,8 +174,7 @@ def _complete_with_retries(
             logger.warning("provider %s: unexpected error, not retried",
                            provider.provider_id, exc_info=True)
             return None
-        if retry_backoff > 0:
-            time.sleep(retry_backoff * 2 ** (attempt - 1))
+        time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
     return None
 
 
@@ -187,7 +185,6 @@ def extract_labels(
     template: PromptTemplate | None = None,
     synonyms: SynonymMap | None = None,
     max_in_flight: int = 4,
-    retry_backoff: float = 0.5,
 ) -> list[AnnotationRecord]:
     """Query every provider about every product and collect the records.
 
@@ -234,7 +231,7 @@ def extract_labels(
                 pj = pending.popleft()
             except IndexError:
                 return
-            responses[pj] = _complete_with_retries(provider, prompts[pj], slots, retry_backoff)
+            responses[pj] = _complete_with_retries(provider, prompts[pj], slots)
 
     lanes = [_lane_count(p, max_in_flight, len(prompts)) for p in live]
     with ThreadPoolExecutor(max_workers=max(1, sum(lanes))) as pool:

@@ -3,12 +3,13 @@
 Each LLM provider is an opaque annotator: it gets a prompt and returns
 response text. HttpProvider adapts the common chat-completions JSON API;
 MockProvider serves canned responses for tests and offline pipelines and
-counts its in-flight calls so concurrency limits are observable.
+counts its in-flight calls so concurrency limits are observable. Both
+constructors check every option, so a bad providers.json entry fails at
+load; ``requests`` is imported by the first HTTP request.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import threading
 import time
@@ -16,14 +17,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .storage import read_json
-
-
-def __getattr__(name):
-    # Importing requests takes ~0.1 s and only HttpProvider.complete needs
-    # it, so it loads on first use; this keeps ``providers.requests`` valid.
-    if name != "requests":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return importlib.import_module("requests")
 
 
 class ProviderError(RuntimeError):
@@ -42,9 +35,36 @@ class ProviderRejectedError(ProviderRequestError):
     """The endpoint refused the request itself (HTTP 4xx but 429): retrying cannot help."""
 
 
-@dataclass(frozen=True)
-class ProviderSpec:
-    """Configuration for one HTTP provider.
+class Provider:
+    """One label source. Subclasses implement complete()."""
+
+    provider_id: str
+    max_retries: int = 3
+    # Providers that cannot take overlapping complete() calls set this
+    # False and the extraction engine serializes them.
+    concurrency_safe: bool = True
+
+    def preflight(self) -> None:
+        """Cheap viability check run once before a batch; raise to opt out."""
+
+    def complete(self, prompt: str) -> str:
+        raise NotImplementedError
+
+
+def _check_id_and_retries(provider_id, max_retries) -> None:
+    """The checks of the options every provider kind takes."""
+    if not isinstance(provider_id, str) or not provider_id.strip():
+        raise ValueError("field 'provider_id' must be a non-empty string")
+    if isinstance(max_retries, bool) or not isinstance(max_retries, int):
+        raise ValueError("field 'max_retries' must be an integer")
+    if max_retries < 1:
+        raise ValueError("max_retries must be >= 1")
+
+
+# eq=False: instances compare and hash by identity, as request_options is a dict.
+@dataclass(frozen=True, eq=False)
+class HttpProvider(Provider):
+    """Adapter for OpenAI-style chat-completion endpoints.
 
     ``credential_ref`` names the environment variable holding the API
     key; when empty it defaults to the LLME_<PROVIDER>_API_KEY
@@ -62,12 +82,19 @@ class ProviderSpec:
     request_options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.provider_id.strip():
-            raise ValueError("provider_id must be non-empty")
-        if self.timeout <= 0:
+        _check_id_and_retries(self.provider_id, self.max_retries)
+        if not isinstance(self.endpoint, str) or not self.endpoint.strip():
+            raise ValueError("field 'endpoint' must be a non-empty string")
+        if not isinstance(self.model_name, str) or not self.model_name.strip():
+            raise ValueError("field 'model_name' must be a non-empty string")
+        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)):
+            raise ValueError("field 'timeout' must be a number")
+        if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+        if not isinstance(self.credential_ref, str):
+            raise ValueError("field 'credential_ref' must be a string")
+        if not isinstance(self.request_options, Mapping):
+            raise ValueError("field 'request_options' must be an object")
 
     @property
     def credential_env_var(self) -> str:
@@ -76,62 +103,37 @@ class ProviderSpec:
         slug = self.provider_id.upper().replace("-", "_").replace(".", "_")
         return f"LLME_{slug}_API_KEY"
 
-
-class Provider:
-    """One label source. Subclasses implement complete()."""
-
-    provider_id: str
-    max_retries: int = 3
-    # Providers that cannot take overlapping complete() calls set this
-    # False and the extraction engine serializes them.
-    concurrency_safe: bool = True
-
     def preflight(self) -> None:
-        """Cheap viability check run once before a batch; raise to opt out."""
-
-    def complete(self, prompt: str) -> str:
-        raise NotImplementedError
-
-
-class HttpProvider(Provider):
-    """Adapter for OpenAI-style chat-completion endpoints."""
-
-    def __init__(self, spec: ProviderSpec):
-        self.spec = spec
-        self.provider_id = spec.provider_id
-        self.max_retries = spec.max_retries
-
-    def preflight(self) -> None:
-        if not os.environ.get(self.spec.credential_env_var, "").strip():
+        if not os.environ.get(self.credential_env_var, "").strip():
             raise CredentialError(
                 f"provider {self.provider_id!r}: environment variable "
-                f"{self.spec.credential_env_var} is not set"
+                f"{self.credential_env_var} is not set"
             )
 
     def complete(self, prompt: str) -> str:
         import requests
 
-        api_key = os.environ.get(self.spec.credential_env_var, "").strip()
+        api_key = os.environ.get(self.credential_env_var, "").strip()
         if not api_key:
             raise CredentialError(
                 f"provider {self.provider_id!r}: missing credential "
-                f"{self.spec.credential_env_var}"
+                f"{self.credential_env_var}"
             )
         body = {
-            "model": self.spec.model_name,
+            "model": self.model_name,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": 0,
         }
-        body.update(self.spec.request_options)
+        body.update(self.request_options)
         try:
             response = requests.post(
-                self.spec.endpoint,
+                self.endpoint,
                 headers={
                     "Authorization": f"Bearer {api_key}",
                     "Content-Type": "application/json",
                 },
                 json=body,
-                timeout=self.spec.timeout,
+                timeout=self.timeout,
             )
         except requests.RequestException as exc:
             raise ProviderRequestError(
@@ -171,10 +173,22 @@ class MockProvider(Provider):
         max_retries: int = 3,
         concurrency_safe: bool = True,
     ):
-        if max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+        _check_id_and_retries(provider_id, max_retries)
+        responses = {} if responses is None else responses
+        if not isinstance(responses, Mapping) or not all(
+            isinstance(s, str) for s in (*responses, *responses.values())
+        ):
+            raise ValueError("field 'responses' must map strings to strings")
+        if default_response is not None and not isinstance(default_response, str):
+            raise ValueError("field 'default_response' must be a string or null")
+        if isinstance(fail_times, bool) or not isinstance(fail_times, int) or fail_times < 0:
+            raise ValueError("field 'fail_times' must be an integer >= 0")
+        if isinstance(delay, bool) or not isinstance(delay, (int, float)) or not delay >= 0:
+            raise ValueError("field 'delay' must be a number >= 0")
+        if not isinstance(concurrency_safe, bool):
+            raise ValueError("field 'concurrency_safe' must be a boolean")
         self.provider_id = provider_id
-        self.responses = dict(responses or {})
+        self.responses = dict(responses)
         self.default_response = default_response
         self.fail_times = fail_times
         self.delay = delay
@@ -218,14 +232,9 @@ def make_provider(config: Mapping[str, object]) -> Provider:
     kind = config.get("kind", "http")
     if kind not in ("http", "mock"):
         raise ValueError(f"unknown provider kind {kind!r}")
-    provider_id = config.get("provider_id")
-    if not isinstance(provider_id, str) or not provider_id.strip():
-        raise ValueError("field 'provider_id' must be a non-empty string")
     options = {k: v for k, v in config.items() if k != "kind"}
     try:
-        if kind == "http":
-            return HttpProvider(ProviderSpec(**options))
-        return MockProvider(**options)
+        return (HttpProvider if kind == "http" else MockProvider)(**options)
     except TypeError as exc:
         raise ValueError(f"invalid {kind} provider config: {exc}") from exc
 

@@ -49,17 +49,8 @@ class SimulationConfig:
     workers: tuple[WorkerProfile, ...]
     seed: int
 
-    def __init__(
-        self,
-        n_items: int,
-        schema: AttributeSchema,
-        workers: Sequence[WorkerProfile],
-        seed: int,
-    ):
-        object.__setattr__(self, "n_items", n_items)
-        object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "workers", tuple(workers))
-        object.__setattr__(self, "seed", seed)
+    def __post_init__(self):
+        object.__setattr__(self, "workers", tuple(self.workers))
         if self.n_items < 1:
             raise ValueError("n_items must be >= 1")
         if not self.workers:
@@ -67,7 +58,7 @@ class SimulationConfig:
         ids = [w.worker_id for w in self.workers]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate worker ids")
-        if not isinstance(seed, int) or seed < 0:
+        if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
 

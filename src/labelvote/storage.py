@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from operator import itemgetter
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, build_matrix
@@ -101,13 +99,12 @@ def _check_object(obj, fields, optional=(), text=()) -> None:
     and a non-blank string in each field of ``text``."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
-    if tuple(obj) != fields:  # our writers' key order: the common case
-        missing = [f for f in fields if f not in obj]
-        if missing:
-            raise ValueError(f"missing field(s) {', '.join(missing)}")
-        unknown = [k for k in obj if k not in fields and k not in optional]
-        if unknown:
-            raise ValueError(f"unknown field(s) {', '.join(unknown)}")
+    missing = [f for f in fields if f not in obj]
+    if missing:
+        raise ValueError(f"missing field(s) {', '.join(missing)}")
+    unknown = [k for k in obj if k not in fields and k not in optional]
+    if unknown:
+        raise ValueError(f"unknown field(s) {', '.join(unknown)}")
     for name in text:
         value = obj[name]
         if not isinstance(value, str) or not value.strip():
@@ -215,8 +212,7 @@ def write_predictions(
         raise ValueError(
             f"length mismatch: {len(item_ids)} item ids vs {len(predictions)} predictions"
         )
-    codes = np.asarray(predictions)
-    if codes.size and not 0 <= codes.min() <= codes.max() <= len(schema.labels):
+    if len(predictions) and not 0 <= min(predictions) <= max(predictions) <= len(schema.labels):
         raise ValueError(f"encoded labels must lie in 0..{len(schema.labels)}")
     attribute = _dumps(schema.attribute_name)
     labels = ["null", *map(_dumps, schema.labels)]  # indexed by encoded label
@@ -247,15 +243,8 @@ def read_products(path) -> list[ProductText]:
 
 def write_weights(path, report: WeightsReport) -> None:
     """Write a weights report as one indented JSON document."""
-    document = {
-        "attribute": report.attribute,
-        "weights": report.weights,
-        "accuracies": report.accuracies,
-        "iterations_run": report.iterations_run,
-        "converged": report.converged,
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, ensure_ascii=False, indent=2)
+        json.dump(asdict(report), fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
 

@@ -500,6 +500,10 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
     assert f"{workers_file}: {reason}" in capsys.readouterr().err
 
 
+MOCK = {"kind": "mock", "provider_id": "m1", "default_response": "a"}
+HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
+
+
 @pytest.mark.parametrize(
     "entry, reason",
     [
@@ -512,9 +516,25 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
          "field 'provider_id' must be a non-empty string"),
         ({"kind": "mock", "provider_id": "m1", "default_response": "a", "max_retries": 0},
          "max_retries must be >= 1"),
+        ({**MOCK, "delay": "x"}, "field 'delay' must be a number >= 0"),
+        ({**MOCK, "fail_times": "x"}, "field 'fail_times' must be an integer >= 0"),
+        ({**MOCK, "delay": -1}, "field 'delay' must be a number >= 0"),
+        ({**MOCK, "default_response": 5}, "field 'default_response' must be a string or null"),
+        ({**MOCK, "responses": {"Shirt": 5}}, "field 'responses' must map strings to strings"),
+        ({**MOCK, "concurrency_safe": "no"}, "field 'concurrency_safe' must be a boolean"),
+        ({**HTTP, "credential_ref": 5}, "field 'credential_ref' must be a string"),
+        ({**HTTP, "max_retries": 2.5}, "field 'max_retries' must be an integer"),
+        ({**MOCK, "max_retries": 2.5}, "field 'max_retries' must be an integer"),
+        ({**HTTP, "timeout": True}, "field 'timeout' must be a number"),
+        ({**HTTP, "endpoint": 5}, "field 'endpoint' must be a non-empty string"),
+        ({**HTTP, "request_options": "x"}, "field 'request_options' must be an object"),
     ],
     ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
-         "mock no attempts"],
+         "mock no attempts", "mock string delay", "mock string fail_times",
+         "mock negative delay", "mock non-string default", "mock non-string response",
+         "mock string concurrency_safe", "http non-string credential_ref",
+         "http fractional max_retries", "mock fractional max_retries", "http bool timeout",
+         "http non-string endpoint", "http string request_options"],
 )
 def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry, reason):
     # Every bad entry exits 2 at load, before the batch sends any request.

@@ -16,7 +16,6 @@ from labelvote import (
     Provider,
     ProviderRejectedError,
     ProviderRequestError,
-    ProviderSpec,
     SynonymMap,
     default_template,
     extract_labels,
@@ -26,6 +25,12 @@ from labelvote import (
     render_prompt,
 )
 from labelvote.extract import _lane_count
+
+
+@pytest.fixture(autouse=True)
+def no_retry_backoff(monkeypatch):
+    monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.0)
+
 
 GARANIMALS = ProductText(
     item_id="sku-1",
@@ -133,7 +138,7 @@ class TestExtractLabels:
             MockProvider("m2", default_response="female"),
         ]
         records = extract_labels(
-            self.products(3), gender_schema, providers, retry_backoff=0.0
+            self.products(3), gender_schema, providers
         )
         assert len(records) == 6
         assert [r.annotator_id for r in records] == ["m1"] * 3 + ["m2"] * 3
@@ -145,7 +150,7 @@ class TestExtractLabels:
             FailOnSubstring("m2", fail_on="number 1", response="female"),
         ]
         records = extract_labels(
-            self.products(3), gender_schema, providers, retry_backoff=0.0
+            self.products(3), gender_schema, providers
         )
         assert len(records) == 5
         assert ("m2", "sku-1") not in {(r.annotator_id, r.item_id) for r in records}
@@ -157,14 +162,14 @@ class TestExtractLabels:
             MockProvider("m1", responses={"Garanimals": "female"}),
             MockProvider("m2", responses={"Garanimals": " Female. "}),
         ]
-        records = extract_labels([GARANIMALS], gender, providers, retry_backoff=0.0)
+        records = extract_labels([GARANIMALS], gender, providers)
         assert all(parse_response(r.raw_label, gender) == 2 for r in records)
 
         providers = [
             MockProvider("m1", responses={"Garanimals": "child"}),
             MockProvider("m2", responses={"Garanimals": "Child"}),
         ]
-        records = extract_labels([GARANIMALS], age, providers, retry_backoff=0.0)
+        records = extract_labels([GARANIMALS], age, providers)
         assert all(parse_response(r.raw_label, age) == 2 for r in records)
 
     def test_records_keep_raw_response_text(self, gender_schema):
@@ -177,7 +182,7 @@ class TestExtractLabels:
             MockProvider("m3", default_response=" The gender is female "),
         ]
         records = extract_labels(
-            self.products(1), gender_schema, providers, synonyms=synonyms, retry_backoff=0.0
+            self.products(1), gender_schema, providers, synonyms=synonyms
         )
         assert [r.raw_label for r in records] == [
             "female", "female", " The gender is female "
@@ -190,7 +195,7 @@ class TestExtractLabels:
         ]
         records = extract_labels(
             self.products(4), gender_schema, providers,
-            max_in_flight=8, retry_backoff=0.0,
+            max_in_flight=8,
         )
         assert [(r.annotator_id, r.item_id) for r in records] == [
             ("slow", f"sku-{n}") for n in range(4)
@@ -200,7 +205,7 @@ class TestExtractLabels:
         provider = MockProvider("m1", default_response="male", delay=0.01)
         extract_labels(
             self.products(12), gender_schema, [provider],
-            max_in_flight=3, retry_backoff=0.0,
+            max_in_flight=3,
         )
         assert provider.calls == 12
         assert provider.max_in_flight <= 3
@@ -211,7 +216,7 @@ class TestExtractLabels:
         )
         extract_labels(
             self.products(8), gender_schema, [provider],
-            max_in_flight=8, retry_backoff=0.0,
+            max_in_flight=8,
         )
         assert provider.max_in_flight == 1
 
@@ -220,7 +225,7 @@ class TestExtractLabels:
             "m1", default_response="male", fail_times=2, max_retries=3
         )
         records = extract_labels(
-            self.products(1), gender_schema, [provider], retry_backoff=0.0
+            self.products(1), gender_schema, [provider]
         )
         assert len(records) == 1
         assert provider.calls == 3
@@ -230,24 +235,24 @@ class TestExtractLabels:
             "m1", default_response="male", fail_times=3, max_retries=3
         )
         records = extract_labels(
-            self.products(1), gender_schema, [provider], retry_backoff=0.0
+            self.products(1), gender_schema, [provider]
         )
         assert records == []
         assert provider.calls == 3
 
     def test_failed_preflight_drops_the_provider(self, gender_schema, monkeypatch):
         monkeypatch.delenv("LLME_DOWN_API_KEY", raising=False)
-        down = HttpProvider(ProviderSpec("down", "https://x.invalid", "m"))
+        down = HttpProvider("down", "https://x.invalid", "m")
         up = MockProvider("up", default_response="male")
         records = extract_labels(
-            self.products(2), gender_schema, [down, up], retry_backoff=0.0
+            self.products(2), gender_schema, [down, up]
         )
         assert {r.annotator_id for r in records} == {"up"}
 
     def test_blank_response_yields_no_record(self, gender_schema):
         providers = [MockProvider("m1", default_response="  ")]
         records = extract_labels(
-            self.products(2), gender_schema, [providers[0]], retry_backoff=0.0
+            self.products(2), gender_schema, [providers[0]]
         )
         assert records == []
 
@@ -345,7 +350,7 @@ class TestScheduler:
         try:
             records = extract_within(
                 10, self.products(12), gender_schema, providers,
-                max_in_flight=3, retry_backoff=0.0,
+                max_in_flight=3,
             )
         finally:
             sys.setswitchinterval(interval)
@@ -359,19 +364,20 @@ class TestScheduler:
         providers = [Logged("a", log, delay=0.005), serial, Logged("b", log, delay=0.005)]
         extract_within(
             10, self.products(8), gender_schema, providers,
-            max_in_flight=4, retry_backoff=0.0,
+            max_in_flight=4,
         )
         assert serial.calls == 8
         assert serial.max_in_flight == 1
         assert log.peak <= 4
 
-    def test_backoff_holds_no_slot(self, gender_schema):
+    def test_backoff_holds_no_slot(self, gender_schema, monkeypatch):
+        monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.3)
         log = CallLog()
         a = Logged("a", log, fail_times=1, max_retries=2)
         b = Logged("b", log)
         records = extract_within(
             10, self.products(5), gender_schema, [a, b],
-            max_in_flight=1, retry_backoff=0.3,
+            max_in_flight=1,
         )
         assert len(records) == 10
         a_calls = [n for n, pid in enumerate(log.starts) if pid == "a"]
@@ -385,7 +391,7 @@ class TestScheduler:
         providers = [Logged("a", log, delay=0.005), Logged("b", log, delay=0.005)]
         extract_within(
             10, self.products(5), gender_schema, providers,
-            max_in_flight=1, retry_backoff=0.0,
+            max_in_flight=1,
         )
         # One slot, two lanes: a lane that releases the slot and asks again
         # queues behind the other instead of taking it back at once, so the
@@ -393,7 +399,8 @@ class TestScheduler:
         switches = sum(x != y for x, y in zip(log.starts, log.starts[1:]))
         assert switches >= 6
 
-    def test_mixed_providers_keep_provider_major_order(self, gender_schema):
+    def test_mixed_providers_keep_provider_major_order(self, gender_schema, monkeypatch):
+        monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.01)
         log = CallLog()
         providers = [
             Logged("slow", log, delay=0.01),
@@ -403,7 +410,7 @@ class TestScheduler:
         ]
         records = extract_within(
             10, self.products(6), gender_schema, providers,
-            max_in_flight=2, retry_backoff=0.01,
+            max_in_flight=2,
         )
         assert [(r.annotator_id, r.item_id, r.raw_label) for r in records] == [
             (p.provider_id, f"sku-{n}", p.provider_id) for p in providers for n in range(6)
@@ -423,7 +430,7 @@ class TestScheduler:
         with caplog.at_level(logging.WARNING, logger="labelvote.extract"):
             records = extract_within(
                 10, self.products(4), gender_schema, providers,
-                max_in_flight=2, retry_backoff=0.0,
+                max_in_flight=2,
             )
         assert [(r.annotator_id, r.item_id) for r in records] == [
             ("buggy", "sku-0"), ("buggy", "sku-1"), ("buggy", "sku-3"),
@@ -437,7 +444,7 @@ class TestScheduler:
         with caplog.at_level(logging.WARNING, logger="labelvote.extract"):
             records = extract_within(
                 10, self.products(3), gender_schema, providers,
-                max_in_flight=2, retry_backoff=0.0,
+                max_in_flight=2,
             )
         assert [(r.annotator_id, r.item_id, r.raw_label) for r in records] == [
             ("m2", f"sku-{n}", "female") for n in range(3)
@@ -458,8 +465,8 @@ class FakeResponse:
 
 
 class TestHttpProvider:
-    def spec(self):
-        return ProviderSpec(
+    def provider(self):
+        return HttpProvider(
             "prov", "https://api.example/v1/chat", "model-x",
             credential_ref="PROV_TEST_KEY", request_options={"top_p": 0.1},
         )
@@ -472,8 +479,8 @@ class TestHttpProvider:
             captured.update(url=url, headers=headers, body=json, timeout=timeout)
             return FakeResponse(200, {"choices": [{"message": {"content": "female"}}]})
 
-        monkeypatch.setattr("labelvote.providers.requests.post", fake_post)
-        provider = HttpProvider(self.spec())
+        monkeypatch.setattr("requests.post", fake_post)
+        provider = self.provider()
         assert provider.complete("the prompt") == "female"
         assert captured["url"] == "https://api.example/v1/chat"
         assert captured["headers"]["Authorization"] == "Bearer secret"
@@ -486,11 +493,11 @@ class TestHttpProvider:
     def test_http_error_raises_request_error(self, monkeypatch):
         monkeypatch.setenv("PROV_TEST_KEY", "secret")
         monkeypatch.setattr(
-            "labelvote.providers.requests.post",
+            "requests.post",
             lambda *a, **k: FakeResponse(503),
         )
         with pytest.raises(ProviderRequestError, match="503"):
-            HttpProvider(self.spec()).complete("x")
+            self.provider().complete("x")
 
     @pytest.mark.parametrize("status, attempts", [(400, 1), (404, 1), (429, 3), (503, 3)])
     def test_only_429_and_5xx_are_retried(self, monkeypatch, gender_schema, status, attempts):
@@ -501,11 +508,11 @@ class TestHttpProvider:
             posts.append(status)
             return FakeResponse(status)
 
-        monkeypatch.setattr("labelvote.providers.requests.post", fake_post)
-        provider = HttpProvider(self.spec())
+        monkeypatch.setattr("requests.post", fake_post)
+        provider = self.provider()
         assert provider.max_retries == 3
         records = extract_within(
-            10, [ProductText("sku-1", "Socks")], gender_schema, [provider], retry_backoff=0.0
+            10, [ProductText("sku-1", "Socks")], gender_schema, [provider]
         )
         assert records == []
         assert len(posts) == attempts
@@ -516,20 +523,20 @@ class TestHttpProvider:
     def test_bad_payload_raises_request_error(self, monkeypatch):
         monkeypatch.setenv("PROV_TEST_KEY", "secret")
         monkeypatch.setattr(
-            "labelvote.providers.requests.post",
+            "requests.post",
             lambda *a, **k: FakeResponse(200, {"oops": True}),
         )
         with pytest.raises(ProviderRequestError, match="shape"):
-            HttpProvider(self.spec()).complete("x")
+            self.provider().complete("x")
 
     def test_missing_credential_fails_preflight(self, monkeypatch):
         monkeypatch.delenv("PROV_TEST_KEY", raising=False)
         with pytest.raises(CredentialError, match="PROV_TEST_KEY"):
-            HttpProvider(self.spec()).preflight()
+            self.provider().preflight()
 
     def test_default_credential_convention(self):
-        spec = ProviderSpec("gpt-4", "https://x", "m")
-        assert spec.credential_env_var == "LLME_GPT_4_API_KEY"
+        provider = HttpProvider("gpt-4", "https://x", "m")
+        assert provider.credential_env_var == "LLME_GPT_4_API_KEY"
 
 
 class TestProviderLoading:
