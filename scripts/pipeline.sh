@@ -3,7 +3,8 @@
 # votes, and score the consensus against the generated ground truth.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, aggregate them, and check the consensus.
-# Last, check that a mistyped provider option exits 2 and writes nothing.
+# Then, check that a mistyped provider option exits 2 and writes nothing.
+# Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
 set -eu
 
@@ -55,3 +56,59 @@ if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
   echo "pipeline: extract with a mistyped provider option exited $status, not 2, or wrote output" >&2
   exit 1
 fi
+
+# The HTTP leg: a standard-library stub server on 127.0.0.1 answers like a
+# chat-completions endpoint, and only to the right bearer key. It writes
+# its port to a file once it listens.
+rm -f "$out/stub-port"
+python3 - "$out/stub-port" <<'EOF' &
+import json, os, sys
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+class Chat(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.headers.get("Authorization") != "Bearer stub-key":
+            self.send_error(401)
+            return
+        answer = "female" if "Garanimals" in body["messages"][0]["content"] else "male"
+        reply = json.dumps({"choices": [{"message": {"content": answer}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Chat)
+with open(sys.argv[1] + ".tmp", "w") as fh:
+    fh.write(str(server.server_port))
+os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+server.serve_forever()
+EOF
+stub=$!
+trap 'kill "$stub" 2>/dev/null' EXIT
+tries=0
+until [ -s "$out/stub-port" ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    echo "pipeline: stub server did not start within 10 s" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+port=$(cat "$out/stub-port")
+cat > "$out/http-providers.json" <<EOF
+[{"provider_id": "stub", "endpoint": "http://127.0.0.1:$port/v1/chat/completions", "model_name": "stub-model"}]
+EOF
+export LLME_STUB_API_KEY=stub-key
+# Bypass any proxy the environment names for the local server.
+export no_proxy=127.0.0.1
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/http-providers.json" --out "$out/http-extracted.jsonl"
+labelvote aggregate --input "$out/http-extracted.jsonl" $schema --out "$out/http-predictions.jsonl"
+grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/http-predictions.jsonl" || {
+  echo "pipeline: HTTP leg did not predict female for sku-1" >&2
+  exit 1
+}

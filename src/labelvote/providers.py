@@ -5,11 +5,12 @@ response text. HttpProvider adapts the common chat-completions JSON API;
 MockProvider serves canned responses for tests and offline pipelines and
 counts its in-flight calls so concurrency limits are observable. Both
 constructors check every option, so a bad providers.json entry fails at
-load; ``requests`` is imported by the first HTTP request.
+load; ``urllib.request`` is imported by the first HTTP request.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -17,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .storage import read_json
+
+MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
 
 
 class ProviderError(RuntimeError):
@@ -32,7 +35,7 @@ class ProviderRequestError(ProviderError):
 
 
 class ProviderRejectedError(ProviderRequestError):
-    """The endpoint refused the request itself (HTTP 4xx but 429): retrying cannot help."""
+    """The endpoint refused the request itself (HTTP 3xx, 4xx but 429): retrying cannot help."""
 
 
 class Provider:
@@ -85,16 +88,22 @@ class HttpProvider(Provider):
         _check_id_and_retries(self.provider_id, self.max_retries)
         if not isinstance(self.endpoint, str) or not self.endpoint.strip():
             raise ValueError("field 'endpoint' must be a non-empty string")
+        scheme_ok = self.endpoint.lower().startswith(("http://", "https://"))
+        if not scheme_ok or not self.endpoint.isascii():
+            raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII")
         if not isinstance(self.model_name, str) or not self.model_name.strip():
             raise ValueError("field 'model_name' must be a non-empty string")
-        if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)):
-            raise ValueError("field 'timeout' must be a number")
-        if not self.timeout > 0:
-            raise ValueError("timeout must be > 0")
+        if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
+                or not 0 < self.timeout <= MAX_WAIT_S):
+            raise ValueError(f"field 'timeout' must be a number > 0 and <= {MAX_WAIT_S}")
         if not isinstance(self.credential_ref, str):
             raise ValueError("field 'credential_ref' must be a string")
         if not isinstance(self.request_options, Mapping):
             raise ValueError("field 'request_options' must be an object")
+        try:
+            json.dumps(dict(self.request_options), allow_nan=False)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field 'request_options' must be plain JSON: {exc}") from exc
 
     @property
     def credential_env_var(self) -> str:
@@ -111,13 +120,19 @@ class HttpProvider(Provider):
             )
 
     def complete(self, prompt: str) -> str:
-        import requests
+        from http.client import HTTPException
+        from urllib.error import HTTPError
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
+
+        class HttpRedirects(HTTPRedirectHandler):  # the default one follows ftp:// too
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                if newurl.lower().startswith(("http://", "https://")):
+                    return super().redirect_request(req, fp, code, msg, headers, newurl)
 
         api_key = os.environ.get(self.credential_env_var, "").strip()
         if not api_key:
             raise CredentialError(
-                f"provider {self.provider_id!r}: missing credential "
-                f"{self.credential_env_var}"
+                f"provider {self.provider_id!r}: missing credential {self.credential_env_var}"
             )
         body = {
             "model": self.model_name,
@@ -125,28 +140,27 @@ class HttpProvider(Provider):
             "temperature": 0,
         }
         body.update(self.request_options)
+        data = json.dumps(body, allow_nan=False).encode()
+        request = Request(self.endpoint, data, {"Content-Type": "application/json"})
+        # Unredirected: a plain header would follow a redirect to any host.
+        request.add_unredirected_header("Authorization", f"Bearer {api_key}")
         try:
-            response = requests.post(
-                self.endpoint,
-                headers={
-                    "Authorization": f"Bearer {api_key}",
-                    "Content-Type": "application/json",
-                },
-                json=body,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderRequestError(
-                f"provider {self.provider_id!r}: request failed: {exc}"
-            ) from exc
-        if response.status_code != 200:
-            rejected = 400 <= response.status_code < 500 and response.status_code != 429
+            # A new opener per request reads the proxy variables as they are now.
+            with build_opener(HttpRedirects).open(request, timeout=self.timeout) as response:
+                status, reply = response.status, response.read()
+        except HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, HTTPException) as exc:
+            message = f"provider {self.provider_id!r}: request failed: {exc}"
+            raise ProviderRequestError(message) from exc
+        if status != 200:
+            rejected = 300 <= status < 500 and status != 429
             raise (ProviderRejectedError if rejected else ProviderRequestError)(
-                f"provider {self.provider_id!r}: HTTP {response.status_code}"
+                f"provider {self.provider_id!r}: HTTP {status}"
             )
         try:
-            payload = response.json()
-            return payload["choices"][0]["message"]["content"]
+            return json.loads(reply)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderRequestError(
                 f"provider {self.provider_id!r}: unexpected response shape"
@@ -183,8 +197,9 @@ class MockProvider(Provider):
             raise ValueError("field 'default_response' must be a string or null")
         if isinstance(fail_times, bool) or not isinstance(fail_times, int) or fail_times < 0:
             raise ValueError("field 'fail_times' must be an integer >= 0")
-        if isinstance(delay, bool) or not isinstance(delay, (int, float)) or not delay >= 0:
-            raise ValueError("field 'delay' must be a number >= 0")
+        if (isinstance(delay, bool) or not isinstance(delay, (int, float))
+                or not 0 <= delay <= MAX_WAIT_S):
+            raise ValueError(f"field 'delay' must be a number >= 0 and <= {MAX_WAIT_S}")
         if not isinstance(concurrency_safe, bool):
             raise ValueError("field 'concurrency_safe' must be a boolean")
         self.provider_id = provider_id

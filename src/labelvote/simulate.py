@@ -32,8 +32,11 @@ class WorkerProfile:
     missing_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.worker_id.strip():
-            raise ValueError("worker_id must be non-empty")
+        if not isinstance(self.worker_id, str) or not self.worker_id.strip():
+            raise ValueError("field 'worker_id' must be a non-empty string")
+        for name, value in (("accuracy", self.accuracy), ("missing_rate", self.missing_rate)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"field {name!r} must be a number")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
         if not 0.0 <= self.missing_rate < 1.0:

@@ -19,6 +19,7 @@ and floats survive a write/read cycle exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import asdict, astuple, dataclass
 from operator import itemgetter
@@ -258,8 +259,9 @@ def read_weights(path) -> WeightsReport:
             if not isinstance(mapping, dict):
                 raise ValueError(f"{name!r} must be an object")
             for key, value in mapping.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValueError(f"{name}[{key!r}] must be a number")
+                if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                        or not math.isfinite(value)):
+                    raise ValueError(f"{name}[{key!r}] must be a finite number")
         iterations = obj["iterations_run"]
         if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
             raise ValueError("'iterations_run' must be an integer >= 0")

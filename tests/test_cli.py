@@ -197,11 +197,11 @@ class TestSimulate:
 
 
 class TestEvaluate:
-    def write_rows(self, path, rows):
+    def write_rows(self, path, rows, attribute="attr"):
         with open(path, "w", encoding="utf-8") as fh:
             for item, label in rows:
                 fh.write(json.dumps(
-                    {"item_id": item, "attribute": "attr", "label": label}
+                    {"item_id": item, "attribute": attribute, "label": label}
                 ) + "\n")
 
     def test_perfect_predictions(self, tmp_path, capsys):
@@ -218,13 +218,31 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)]) == 0
         assert capsys.readouterr().out.strip() == "0.0000"
 
-    def test_item_id_mismatch_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "predicted, actual, truth_attribute, reason",
+        [
+            ([("p1", "a")], [("p2", "a")], "attr",
+             "item-id mismatch: predictions name items not in the truth file"),
+            ([("p1", "a"), ("p1", "b")], [("p1", "a")], "attr",
+             "duplicate item ids in predictions file"),
+            ([("p1", "a")], [("p1", "a"), ("p1", "b")], "attr",
+             "duplicate item ids in truth file"),
+            ([("p1", "a")], [("p1", "a")], "size",
+             "attribute mismatch between predictions and truth"),
+            ([("p1", "a")], [("p1", None)], "attr", "truth file contains null labels"),
+        ],
+        ids=["item-id mismatch", "duplicate predicted id", "duplicate truth id",
+             "attribute mismatch", "null truth label"],
+    )
+    def test_item_id_mismatch_exit_2(
+        self, tmp_path, capsys, predicted, actual, truth_attribute, reason
+    ):
         predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
-        self.write_rows(predictions, [("p1", "a")])
-        self.write_rows(truth, [("p2", "a")])
+        self.write_rows(predictions, predicted)
+        self.write_rows(truth, actual, truth_attribute)
         code = main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)])
         assert code == 2
-        assert "mismatch" in capsys.readouterr().err
+        assert f"error: {reason}" in capsys.readouterr().err
 
     def test_empty_truth_exit_2(self, tmp_path):
         predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
@@ -326,6 +344,47 @@ class TestExtract:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert "provider m1: 2/2" in capsys.readouterr().err
+
+    def test_template_file_is_used(self, tmp_path):
+        # The mock answers only prompts in the template's own wording.
+        products = tmp_path / "products.jsonl"
+        self.write_products(products)
+        template = tmp_path / "template.txt"
+        template.write_text(
+            "House style. Tag the {attribute} of {title} ({description}) as one of {labels}.",
+            encoding="utf-8",
+        )
+        providers = tmp_path / "providers.json"
+        self.write_providers(providers, [
+            {"kind": "mock", "provider_id": "m1", "responses": {"House style.": "female"}},
+        ])
+        out = tmp_path / "annotations.jsonl"
+        code = main([
+            "extract", "--products", str(products), "--attribute", "gender",
+            "--labels", "male,female,unisex", "--providers", str(providers),
+            "--template", str(template), "--out", str(out),
+        ])
+        assert code == 0
+        assert [r.raw_label for r in read_annotations(out)] == ["female", "female"]
+
+    def test_template_without_labels_exit_2(self, tmp_path, capsys):
+        products = tmp_path / "products.jsonl"
+        self.write_products(products)
+        template = tmp_path / "template.txt"
+        template.write_text("Tag the {attribute} of {title} ({description}).", encoding="utf-8")
+        providers = tmp_path / "providers.json"
+        self.write_providers(providers, [
+            {"kind": "mock", "provider_id": "m1", "default_response": "female"},
+        ])
+        out = tmp_path / "annotations.jsonl"
+        code = main([
+            "extract", "--products", str(products), "--attribute", "gender",
+            "--labels", "male,female,unisex", "--providers", str(providers),
+            "--template", str(template), "--out", str(out),
+        ])
+        assert code == 2
+        assert "template must contain {labels} exactly once (found 0)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_downed_provider_is_just_missing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("LLME_DEAD_API_KEY", raising=False)
@@ -486,8 +545,13 @@ def test_cli_chain_builds_no_annotation_record(tmp_path, monkeypatch):
         ({"worker_id": "w1"}, "worker #1: missing field(s) accuracy"),
         ({"worker_id": "w1", "accuracy": 0.9, "skill": 1}, "worker #1: unknown field(s) skill"),
         ({"worker_id": 7, "accuracy": 0.9}, "worker #1: field 'worker_id' must be a non-empty"),
+        ({"worker_id": "w1", "accuracy": True}, "worker #1: field 'accuracy' must be a number"),
+        ({"worker_id": "w1", "accuracy": 0.9, "missing_rate": False},
+         "worker #1: field 'missing_rate' must be a number"),
+        ({"worker_id": "w1", "accuracy": "x"}, "worker #1: field 'accuracy' must be a number"),
     ],
-    ids=["non-object", "missing field", "unknown field", "non-string id"],
+    ids=["non-object", "missing field", "unknown field", "non-string id", "boolean accuracy",
+         "boolean missing_rate", "string accuracy"],
 )
 def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
     workers_file = tmp_path / "workers.json"
@@ -502,6 +566,7 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
 
 MOCK = {"kind": "mock", "provider_id": "m1", "default_response": "a"}
 HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
+ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
 
 
 @pytest.mark.parametrize(
@@ -528,13 +593,26 @@ HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
         ({**HTTP, "timeout": True}, "field 'timeout' must be a number"),
         ({**HTTP, "endpoint": 5}, "field 'endpoint' must be a non-empty string"),
         ({**HTTP, "request_options": "x"}, "field 'request_options' must be an object"),
+        ({**HTTP, "endpoint": "api.example/v1"}, ENDPOINT),
+        ({**HTTP, "endpoint": "file:///etc/hostname"}, ENDPOINT),
+        ({**HTTP, "endpoint": "ftp://127.0.0.1/x"}, ENDPOINT),
+        ({**HTTP, "endpoint": "https://api.example/v1/ch\u00e4t"}, ENDPOINT),
+        ({**HTTP, "request_options": {"top_p": float("nan")}},
+         "field 'request_options' must be plain JSON: Out of range float values"),
+        ({**HTTP, "timeout": float("inf")}, "field 'timeout' must be a number > 0 and <= 86400"),
+        ({**HTTP, "timeout": 1e12}, "field 'timeout' must be a number > 0 and <= 86400"),
+        ({**MOCK, "delay": float("inf")}, "field 'delay' must be a number >= 0 and <= 86400"),
+        ({**MOCK, "delay": 1e12}, "field 'delay' must be a number >= 0 and <= 86400"),
     ],
     ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
          "mock no attempts", "mock string delay", "mock string fail_times",
          "mock negative delay", "mock non-string default", "mock non-string response",
          "mock string concurrency_safe", "http non-string credential_ref",
          "http fractional max_retries", "mock fractional max_retries", "http bool timeout",
-         "http non-string endpoint", "http string request_options"],
+         "http non-string endpoint", "http string request_options", "http scheme-less endpoint",
+         "http file endpoint", "http ftp endpoint", "http non-ASCII endpoint",
+         "http NaN request option", "http infinite timeout", "http huge timeout",
+         "mock infinite delay", "mock huge delay"],
 )
 def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry, reason):
     # Every bad entry exits 2 at load, before the batch sends any request.
@@ -589,9 +667,12 @@ def test_import_leaves_http_stack_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    probe = "import sys, labelvote.cli; print('requests' in sys.modules)"
+    probe = (
+        "import sys, labelvote.cli; "
+        "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -1,8 +1,16 @@
 """Prompt rendering, response parsing, and the extraction engine."""
 
+import gzip
+import json
 import logging
+import os
+import socket
+import subprocess
 import sys
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import urljoin
 
 import pytest
 
@@ -453,81 +461,237 @@ class TestScheduler:
         assert any("broken" in r.getMessage() for r in caplog.records)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
+def chat_body(content):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no payload")
-        return self._payload
+
+def send(status, body=b"", headers=(), length=None):
+    """A route that answers with ``status``, ``headers`` and ``body``."""
+
+    def reply(handler):
+        handler.send_response(status)
+        for name, value in headers:
+            handler.send_header(name, value)
+        handler.send_header("Content-Length", str(len(body) if length is None else length))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return reply
+
+
+def hang_up(handler):
+    """A route that closes the connection without a reply."""
+    handler.close_connection = True
+
+
+def stall(handler):
+    """A route that answers nothing until the test ends."""
+    handler.server.release.wait(10)
+    handler.close_connection = True
+
+
+def redirect(status, target):
+    """A route that redirects to ``target``: a URL, or a path on this server named as localhost."""
+
+    def reply(handler):
+        here = f"http://localhost:{handler.server.server_port}"
+        send(status, headers=[("Location", urljoin(here, target))])(handler)
+
+    return reply
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.log.append((self.command, self.path, self.headers, body))
+        self.server.routes[self.path](self)
+
+    do_GET = do_POST
+
+    def log_message(self, *args):
+        pass
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A chat-completions endpoint on 127.0.0.1. ``routes`` maps a request
+    path to a reply function; ``log`` lists (method, path, headers, body)."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.routes = {}
+        self.log = []
+        self.release = threading.Event()
+
+    def url(self, path):
+        return f"http://127.0.0.1:{self.server_port}{path}"
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    # Requests to the local server go straight to it, whatever proxy the environment names.
+    monkeypatch.setenv("no_proxy", "127.0.0.1,localhost")
+    monkeypatch.setenv("PROV_TEST_KEY", "secret")
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(10)
+
+
+def run_python(code, env):
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), env.get("PYTHONPATH", "")]
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def closed_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class TestHttpProvider:
-    def provider(self):
+    def provider(self, endpoint="https://api.example/v1/chat", **options):
         return HttpProvider(
-            "prov", "https://api.example/v1/chat", "model-x",
-            credential_ref="PROV_TEST_KEY", request_options={"top_p": 0.1},
+            "prov", endpoint, "model-x",
+            credential_ref="PROV_TEST_KEY", request_options={"top_p": 0.1}, **options,
         )
 
-    def test_success_and_request_shape(self, monkeypatch):
-        monkeypatch.setenv("PROV_TEST_KEY", "secret")
-        captured = {}
-
-        def fake_post(url, headers=None, json=None, timeout=None):
-            captured.update(url=url, headers=headers, body=json, timeout=timeout)
-            return FakeResponse(200, {"choices": [{"message": {"content": "female"}}]})
-
-        monkeypatch.setattr("requests.post", fake_post)
-        provider = self.provider()
+    def test_success_and_request_shape(self, chat_server):
+        chat_server.routes["/v1/chat"] = send(200, chat_body("female"))
+        provider = self.provider(chat_server.url("/v1/chat"))
+        assert provider.timeout == 30.0
         assert provider.complete("the prompt") == "female"
-        assert captured["url"] == "https://api.example/v1/chat"
-        assert captured["headers"]["Authorization"] == "Bearer secret"
-        assert captured["body"]["model"] == "model-x"
-        assert captured["body"]["temperature"] == 0
-        assert captured["body"]["top_p"] == 0.1
-        assert captured["body"]["messages"][0]["content"] == "the prompt"
-        assert captured["timeout"] == 30.0
+        [(method, path, headers, body)] = chat_server.log
+        assert (method, path) == ("POST", "/v1/chat")
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        assert body == json.dumps({
+            "model": "model-x",
+            "messages": [{"role": "user", "content": "the prompt"}],
+            "temperature": 0,
+            "top_p": 0.1,
+        }).encode()
 
-    def test_http_error_raises_request_error(self, monkeypatch):
-        monkeypatch.setenv("PROV_TEST_KEY", "secret")
-        monkeypatch.setattr(
-            "requests.post",
-            lambda *a, **k: FakeResponse(503),
-        )
+    def test_http_error_raises_request_error(self, chat_server):
+        chat_server.routes["/chat"] = send(503)
         with pytest.raises(ProviderRequestError, match="503"):
-            self.provider().complete("x")
+            self.provider(chat_server.url("/chat")).complete("x")
 
-    @pytest.mark.parametrize("status, attempts", [(400, 1), (404, 1), (429, 3), (503, 3)])
-    def test_only_429_and_5xx_are_retried(self, monkeypatch, gender_schema, status, attempts):
-        monkeypatch.setenv("PROV_TEST_KEY", "secret")
-        posts = []
-
-        def fake_post(*args, **kwargs):
-            posts.append(status)
-            return FakeResponse(status)
-
-        monkeypatch.setattr("requests.post", fake_post)
-        provider = self.provider()
+    # Any status but 200 fails; 3xx and 4xx but 429 are rejected, and so not retried.
+    @pytest.mark.parametrize(
+        "status, attempts",
+        [(400, 1), (404, 1), (429, 3), (503, 3), (307, 1),
+         (201, 3), (204, 3), (401, 1), (500, 3)],
+    )
+    def test_only_429_and_5xx_are_retried(self, chat_server, gender_schema, status, attempts):
+        # A 201 with a well-formed reply still fails.
+        chat_server.routes["/chat"] = send(status, b"" if status == 204 else chat_body("female"))
+        provider = self.provider(chat_server.url("/chat"))
         assert provider.max_retries == 3
         records = extract_within(
             10, [ProductText("sku-1", "Socks")], gender_schema, [provider]
         )
         assert records == []
-        assert len(posts) == attempts
-        with pytest.raises(ProviderRequestError) as excinfo:
+        assert len(chat_server.log) == attempts
+        with pytest.raises(ProviderRequestError, match=f"HTTP {status}") as excinfo:
             provider.complete("x")
         assert isinstance(excinfo.value, ProviderRejectedError) == (attempts == 1)
 
-    def test_bad_payload_raises_request_error(self, monkeypatch):
-        monkeypatch.setenv("PROV_TEST_KEY", "secret")
-        monkeypatch.setattr(
-            "requests.post",
-            lambda *a, **k: FakeResponse(200, {"oops": True}),
-        )
+    def test_bad_payload_raises_request_error(self, chat_server):
+        chat_server.routes["/chat"] = send(200, json.dumps({"oops": True}).encode())
         with pytest.raises(ProviderRequestError, match="shape"):
-            self.provider().complete("x")
+            self.provider(chat_server.url("/chat")).complete("x")
+
+    @pytest.mark.parametrize("content", ["Mädchen – fille", None], ids=["non-ASCII", "null"])
+    def test_reply_content_is_returned(self, chat_server, content):
+        chat_server.routes["/chat"] = send(200, chat_body(content))
+        assert self.provider(chat_server.url("/chat")).complete("x") == content
+
+    @pytest.mark.parametrize(
+        "body, headers",
+        [
+            (b"<html>busy</html>", ()),
+            # urllib asks for identity encoding and decodes no other.
+            (gzip.compress(chat_body("female")), [("Content-Encoding", "gzip")]),
+        ],
+        ids=["non-JSON", "gzip"],
+    )
+    def test_unexpected_shape(self, chat_server, body, headers):
+        chat_server.routes["/chat"] = send(200, body, headers)
+        with pytest.raises(ProviderRequestError, match="unexpected response shape"):
+            self.provider(chat_server.url("/chat")).complete("x")
+
+    @pytest.mark.parametrize(
+        "route", ["truncated", "hang-up", "timeout", "refused", "no host"]
+    )
+    def test_transport_failure(self, chat_server, route):
+        chat_server.routes["/truncated"] = send(200, chat_body("female")[:10], length=100)
+        chat_server.routes["/hang-up"] = hang_up
+        chat_server.routes["/timeout"] = stall
+        endpoint = {
+            "refused": f"http://127.0.0.1:{closed_port()}/chat",
+            "no host": "http://",
+        }.get(route, chat_server.url(f"/{route}"))
+        with pytest.raises(ProviderRequestError, match="request failed") as excinfo:
+            self.provider(endpoint, timeout=0.2).complete("x")
+        assert not isinstance(excinfo.value, ProviderRejectedError)
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_redirect_is_followed_as_get_without_the_key(self, chat_server, status):
+        chat_server.routes["/old"] = redirect(status, "/chat")
+        chat_server.routes["/chat"] = send(200, chat_body("female"))
+        assert self.provider(chat_server.url("/old")).complete("x") == "female"
+        (first, _, first_headers, _), (second, path, headers, body) = chat_server.log
+        assert (first, first_headers["Authorization"]) == ("POST", "Bearer secret")
+        assert (second, path, body) == ("GET", "/chat", b"")
+        assert headers["Host"].startswith("localhost:")
+        assert "Authorization" not in headers
+
+    @pytest.mark.parametrize(
+        "status, target",
+        [(300, "/chat"), (307, "/chat"), (308, "/chat"), (302, "ftp://127.0.0.1:{port}/x")],
+        ids=["300", "307", "308", "302-to-ftp"],
+    )
+    def test_other_redirects_are_rejected(self, chat_server, status, target):
+        chat_server.routes["/old"] = redirect(status, target.format(port=closed_port()))
+        with pytest.raises(ProviderRejectedError, match=f"HTTP {status}"):
+            self.provider(chat_server.url("/old")).complete("x")
+        assert len(chat_server.log) == 1
+
+    def test_proxy_comes_from_the_environment(self, chat_server, monkeypatch):
+        # A proxy gets the absolute URL as the request path. The endpoint's port is
+        # closed, so a request that skipped the proxy would be refused.
+        endpoint = f"http://127.0.0.1:{closed_port()}/v1/chat"
+        chat_server.routes[endpoint] = send(200, chat_body("female"))
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        provider = self.provider(endpoint)
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
+        with pytest.raises(ProviderRequestError, match="request failed"):
+            provider.complete("x")
+        # The variable is read again at each request, not once per process.
+        monkeypatch.setenv("http_proxy", chat_server.url(""))
+        assert provider.complete("x") == "female"
+
+    def test_round_trip_without_requests(self, chat_server):
+        chat_server.routes["/chat"] = send(200, chat_body("female"))
+        code = (
+            "import sys\n"
+            "sys.modules['requests'] = None  # any import of it now fails\n"
+            "from labelvote import HttpProvider\n"
+            f"print(HttpProvider('prov', {chat_server.url('/chat')!r}, 'm',"
+            " credential_ref='PROV_TEST_KEY').complete('x'))"
+        )
+        assert run_python(code, dict(os.environ)) == "female"
 
     def test_missing_credential_fails_preflight(self, monkeypatch):
         monkeypatch.delenv("PROV_TEST_KEY", raising=False)
@@ -552,6 +716,10 @@ class TestProviderLoading:
         providers = load_providers(path)
         assert isinstance(providers[0], MockProvider)
         assert isinstance(providers[1], HttpProvider)
+
+    def test_scheme_ignores_case_and_one_day_is_the_longest_wait(self):
+        assert HttpProvider("h1", "HTTPS://x", "m", timeout=86_400).timeout == 86_400
+        assert MockProvider("m1", delay=86_400).delay == 86_400
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

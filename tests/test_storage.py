@@ -315,14 +315,23 @@ def test_reader_accepts_what_json_loads_accepts(tmp_path, reader, template):
     assert read(padded) == read(plain)
 
 
+WEIGHTS = (
+    '{{"attribute": "g", "weights": {{"a": {weight}}}, "accuracies": {{"a": {accuracy}}}, '
+    '"iterations_run": 1, "converged": true}}'
+)
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
         ("{", "invalid JSON (Expecting property name enclosed in double quotes)"),
         ("[]", "expected a JSON object"),
         ('{"attribute": "g"}', "missing field(s) weights, accuracies, iterations_run, converged"),
+        (WEIGHTS.format(weight="NaN", accuracy="1.0"), "weights['a'] must be a finite number"),
+        (WEIGHTS.format(weight="1.0", accuracy="-Infinity"),
+         "accuracies['a'] must be a finite number"),
     ],
-    ids=["invalid JSON", "non-object", "missing fields"],
+    ids=["invalid JSON", "non-object", "missing fields", "NaN weight", "infinite accuracy"],
 )
 def test_weights_reader_names_the_file(tmp_path, text, reason):
     path = tmp_path / "w.json"
