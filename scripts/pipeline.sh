@@ -2,7 +2,8 @@
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
 # Then, offline: extract labels from mock providers whose answers need the
-# response rules and a synonym, aggregate them, and check the consensus.
+# response rules and a synonym, one of them not concurrency-safe, check the
+# records' order, aggregate them, and check the consensus.
 # Then, check that a mistyped provider option exits 2 and writes nothing.
 # Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
@@ -31,14 +32,20 @@ EOF
 cat > "$out/providers.json" <<'EOF'
 [
   {"kind": "mock", "provider_id": "m1", "responses": {"Garanimals": "Female.", "Socks": "male"}},
-  {"kind": "mock", "provider_id": "m2", "responses": {"Garanimals": "\"female\"", "Socks": "Male!"}},
+  {"kind": "mock", "provider_id": "m2", "responses": {"Garanimals": "\"female\"", "Socks": "Male!"}, "concurrency_safe": false},
   {"kind": "mock", "provider_id": "m3", "responses": {"Garanimals": "woman", "Socks": "'male'"}}
 ]
 EOF
 echo '{"woman": "female"}' > "$out/synonyms.json"
 
 schema="--attribute gender --labels male,female,unisex"
-labelvote extract --products "$out/products.jsonl" $schema --providers "$out/providers.json" --synonyms "$out/synonyms.json" --out "$out/extracted.jsonl"
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/providers.json" --synonyms "$out/synonyms.json" --max-in-flight 2 --out "$out/extracted.jsonl"
+# m2 runs on a one-thread pool, m1 and m3 on two-thread pools; records stay provider-major.
+order=$(python3 -c 'import json, sys; print(" ".join(json.loads(l)["annotator_id"] for l in open(sys.argv[1])))' "$out/extracted.jsonl")
+[ "$order" = "m1 m1 m2 m2 m3 m3" ] || {
+  echo "pipeline: extract records are not in provider-major order: $order" >&2
+  exit 1
+}
 labelvote aggregate --input "$out/extracted.jsonl" $schema --out "$out/extracted-predictions.jsonl"
 grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/extracted-predictions.jsonl" || {
   echo "pipeline: extract leg did not predict female for sku-1" >&2

@@ -163,15 +163,17 @@ def cmd_extract(args) -> int:
     template = default_template()
     if args.template:
         with open(args.template, encoding="utf-8") as fh:
-            template = PromptTemplate(fh.read())
+            try:
+                template = PromptTemplate(fh.read())
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{args.template}: {exc}") from exc
     synonyms = None
     if args.synonyms:
         mapping = storage.read_json(args.synonyms)
-        if not isinstance(mapping, dict) or not all(
-            isinstance(v, str) for v in mapping.values()
-        ):
-            raise ValueError(f"{args.synonyms}: expected an object of string pairs")
-        synonyms = SynonymMap(mapping, schema)
+        try:
+            synonyms = SynonymMap(mapping, schema)
+        except ValueError as exc:
+            raise ValueError(f"{args.synonyms}: {exc}") from exc
 
     records = extract_labels(
         products,

@@ -16,6 +16,7 @@ import logging
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from importlib.resources import files
 from threading import Lock
@@ -74,6 +75,10 @@ class SynonymMap:
     mapping: Mapping[str, str]
 
     def __init__(self, mapping: Mapping[str, str], schema: AttributeSchema):
+        if not isinstance(mapping, Mapping) or not all(
+            isinstance(s, str) for s in (*mapping, *mapping.values())
+        ):
+            raise ValueError("expected an object of string pairs")
         for surface, target in mapping.items():
             if encode_label(schema, target) == 0:
                 raise ValueError(
@@ -123,7 +128,7 @@ class _FifoSlots:
     """Counting semaphore whose release hands the slot to the longest waiter.
 
     With ``threading.Semaphore`` the releasing thread can take the slot
-    back before the woken waiter runs, so one provider's lanes could
+    back before the woken waiter runs, so one provider's threads could
     keep the cap to themselves.
     """
 
@@ -148,11 +153,6 @@ class _FifoSlots:
                 self._waiters.popleft().release()
             else:
                 self._free += 1
-
-
-def _lane_count(provider: Provider, max_in_flight: int, n_products: int) -> int:
-    """Threads that query one provider: one unless it is concurrency-safe."""
-    return min(max_in_flight, n_products) if provider.concurrency_safe else 1
 
 
 def _complete_with_retries(provider: Provider, prompt: str, slots: _FifoSlots) -> str | None:
@@ -189,12 +189,12 @@ def extract_labels(
     """Query every provider about every product and collect the records.
 
     ``max_in_flight`` caps the concurrent ``complete()`` calls across all
-    providers together. Each provider has its own lanes (threads) pulling
-    its next product on demand: up to ``max_in_flight`` of them, but a
-    provider that is not concurrency-safe gets one lane, so it holds at
-    most one slot. Slots are handed out in the order lanes asked for
-    them, so no provider keeps the cap to itself, and a lane sleeping
-    through a retry's backoff holds no slot. Providers failing their
+    providers together. Each provider has its own thread pool, one
+    request per product: up to ``max_in_flight`` threads, but one for a
+    provider that is not concurrency-safe, so it holds at most one slot.
+    Slots are handed out in the order threads asked for them, so no
+    provider keeps the cap to itself, and a thread sleeping through a
+    retry's backoff holds no slot. Providers failing their
     preflight (bad credentials) are dropped before the batch. A request
     that fails past its retry budget or with ``ProviderRejectedError``,
     raises a non-``ProviderError`` or returns a non-string (logged, not
@@ -223,24 +223,14 @@ def extract_labels(
 
     prompts = [render_prompt(template, product, schema) for product in products]
     slots = _FifoSlots(max_in_flight)
-    results: list[list[str | None]] = [[None] * len(prompts) for _ in live]
-
-    def run_lane(provider: Provider, pending: deque[int], responses: list) -> None:
-        while True:
-            try:
-                pj = pending.popleft()
-            except IndexError:
-                return
-            responses[pj] = _complete_with_retries(provider, prompts[pj], slots)
-
-    lanes = [_lane_count(p, max_in_flight, len(prompts)) for p in live]
-    with ThreadPoolExecutor(max_workers=max(1, sum(lanes))) as pool:
+    with ExitStack() as pools:
         futures = []
-        for provider, responses, count in zip(live, results, lanes):
-            pending = deque(range(len(prompts)))
-            futures += [pool.submit(run_lane, provider, pending, responses) for _ in range(count)]
-        for future in futures:
-            future.result()
+        for provider in live:
+            # A pool never starts more threads than it has tasks.
+            workers = max_in_flight if provider.concurrency_safe else 1
+            submit = pools.enter_context(ThreadPoolExecutor(max_workers=workers)).submit
+            futures.append([submit(_complete_with_retries, provider, p, slots) for p in prompts])
+    results = [[future.result() for future in row] for row in futures]
 
     records = []
     for provider, responses in zip(live, results):

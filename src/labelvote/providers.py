@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -20,6 +21,8 @@ from typing import Mapping
 from .storage import read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
+# Printable ASCII after the scheme: http.client refuses \x00-\x20 and \x7f in a URL.
+_URL = re.compile(r"https?://[!-~]*", re.IGNORECASE)
 
 
 class ProviderError(RuntimeError):
@@ -88,9 +91,9 @@ class HttpProvider(Provider):
         _check_id_and_retries(self.provider_id, self.max_retries)
         if not isinstance(self.endpoint, str) or not self.endpoint.strip():
             raise ValueError("field 'endpoint' must be a non-empty string")
-        scheme_ok = self.endpoint.lower().startswith(("http://", "https://"))
-        if not scheme_ok or not self.endpoint.isascii():
-            raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII")
+        if not _URL.fullmatch(self.endpoint):
+            raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII, "
+                             "with no spaces or control characters")
         if not isinstance(self.model_name, str) or not self.model_name.strip():
             raise ValueError("field 'model_name' must be a non-empty string")
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
@@ -100,6 +103,8 @@ class HttpProvider(Provider):
             raise ValueError("field 'credential_ref' must be a string")
         if not isinstance(self.request_options, Mapping):
             raise ValueError("field 'request_options' must be an object")
+        if {"messages", "model"} & self.request_options.keys():
+            raise ValueError("field 'request_options' must not set 'messages' or 'model'")
         try:
             json.dumps(dict(self.request_options), allow_nan=False)
         except (TypeError, ValueError) as exc:
@@ -167,6 +172,8 @@ class HttpProvider(Provider):
             ) from exc
 
 
+# eq=False: instances compare and hash by identity, as responses is a dict.
+@dataclass(eq=False)
 class MockProvider(Provider):
     """Deterministic in-process provider for tests and offline runs.
 
@@ -177,41 +184,35 @@ class MockProvider(Provider):
     test can assert the engine's in-flight cap.
     """
 
-    def __init__(
-        self,
-        provider_id: str,
-        responses: Mapping[str, str] | None = None,
-        default_response: str | None = None,
-        fail_times: int = 0,
-        delay: float = 0.0,
-        max_retries: int = 3,
-        concurrency_safe: bool = True,
-    ):
-        _check_id_and_retries(provider_id, max_retries)
-        responses = {} if responses is None else responses
+    provider_id: str
+    responses: Mapping[str, str] | None = None
+    default_response: str | None = None
+    fail_times: int = 0
+    delay: float = 0.0
+    max_retries: int = 3
+    concurrency_safe: bool = True
+    calls: int = field(default=0, init=False)
+    in_flight: int = field(default=0, init=False)
+    max_in_flight: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        _check_id_and_retries(self.provider_id, self.max_retries)
+        responses = {} if self.responses is None else self.responses
         if not isinstance(responses, Mapping) or not all(
             isinstance(s, str) for s in (*responses, *responses.values())
         ):
             raise ValueError("field 'responses' must map strings to strings")
-        if default_response is not None and not isinstance(default_response, str):
+        if self.default_response is not None and not isinstance(self.default_response, str):
             raise ValueError("field 'default_response' must be a string or null")
+        fail_times = self.fail_times
         if isinstance(fail_times, bool) or not isinstance(fail_times, int) or fail_times < 0:
             raise ValueError("field 'fail_times' must be an integer >= 0")
-        if (isinstance(delay, bool) or not isinstance(delay, (int, float))
-                or not 0 <= delay <= MAX_WAIT_S):
+        if (isinstance(self.delay, bool) or not isinstance(self.delay, (int, float))
+                or not 0 <= self.delay <= MAX_WAIT_S):
             raise ValueError(f"field 'delay' must be a number >= 0 and <= {MAX_WAIT_S}")
-        if not isinstance(concurrency_safe, bool):
+        if not isinstance(self.concurrency_safe, bool):
             raise ValueError("field 'concurrency_safe' must be a boolean")
-        self.provider_id = provider_id
         self.responses = dict(responses)
-        self.default_response = default_response
-        self.fail_times = fail_times
-        self.delay = delay
-        self.max_retries = max_retries
-        self.concurrency_safe = concurrency_safe
-        self.calls = 0
-        self.in_flight = 0
-        self.max_in_flight = 0
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:

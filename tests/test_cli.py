@@ -383,7 +383,8 @@ class TestExtract:
             "--template", str(template), "--out", str(out),
         ])
         assert code == 2
-        assert "template must contain {labels} exactly once (found 0)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{template}: template must contain {{labels}} exactly once (found 0)" in err
         assert not out.exists()
 
     def test_downed_provider_is_just_missing(self, tmp_path, monkeypatch):
@@ -603,6 +604,14 @@ ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
         ({**HTTP, "timeout": 1e12}, "field 'timeout' must be a number > 0 and <= 86400"),
         ({**MOCK, "delay": float("inf")}, "field 'delay' must be a number >= 0 and <= 86400"),
         ({**MOCK, "delay": 1e12}, "field 'delay' must be a number >= 0 and <= 86400"),
+        ({**MOCK, "calls": 3}, "invalid mock provider config"),
+        ({**HTTP, "request_options": {"messages": [{"role": "user", "content": "x"}]}},
+         "field 'request_options' must not set 'messages' or 'model'"),
+        ({**HTTP, "request_options": {"model": "other"}},
+         "field 'request_options' must not set 'messages' or 'model'"),
+        ({**HTTP, "endpoint": "http://127.0.0.1:9/v1 chat"}, ENDPOINT),
+        ({**HTTP, "endpoint": "http://127.0.0.1:9/v1\tchat"}, ENDPOINT),
+        ({**HTTP, "endpoint": "http://127.0.0.1:9/v1\x7f"}, ENDPOINT),
     ],
     ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
          "mock no attempts", "mock string delay", "mock string fail_times",
@@ -612,7 +621,9 @@ ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
          "http non-string endpoint", "http string request_options", "http scheme-less endpoint",
          "http file endpoint", "http ftp endpoint", "http non-ASCII endpoint",
          "http NaN request option", "http infinite timeout", "http huge timeout",
-         "mock infinite delay", "mock huge delay"],
+         "mock infinite delay", "mock huge delay", "mock counter option",
+         "http request_options messages", "http request_options model",
+         "http endpoint with space", "http endpoint with tab", "http endpoint with DEL"],
 )
 def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry, reason):
     # Every bad entry exits 2 at load, before the batch sends any request.
@@ -631,6 +642,39 @@ def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry,
     ])
     assert code == 2
     assert f"{providers}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, content, reason",
+    [
+        ("--template", b"\xff", NOT_UTF8),
+        ("--synonyms", b'{"woman": "girl"}',
+         "synonym 'woman' -> 'girl': target is not a schema label"),
+        ("--synonyms", b'{"woman": 5}', "expected an object of string pairs"),
+    ],
+    ids=["non-UTF-8 template", "synonym outside vocabulary", "non-string synonym"],
+)
+def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, content, reason):
+    # Each bad file exits 2 before the batch sends any request.
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_labels was called")
+
+    monkeypatch.setattr(cli, "extract_labels", refuse)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([MOCK]), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "extract", "--products", str(products), "--attribute", "gender",
+        "--labels", "male,female,unisex", "--providers", str(providers),
+        flag, str(bad), "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,7 +32,6 @@ from labelvote import (
     parse_response,
     render_prompt,
 )
-from labelvote.extract import _lane_count
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +118,14 @@ class TestSynonymMap:
     def test_keys_are_normalized(self, gender_schema):
         synonyms = SynonymMap({" Woman ": "female"}, gender_schema)
         assert synonyms.canonical("woman") == "female"
+
+    @pytest.mark.parametrize(
+        "mapping", [["woman"], {"woman": 5}, {5: "female"}, {"woman": None}],
+        ids=["non-mapping", "non-string target", "non-string key", "null target"],
+    )
+    def test_rejects_non_string_pairs(self, gender_schema, mapping):
+        with pytest.raises(ValueError, match="expected an object of string pairs"):
+            SynonymMap(mapping, gender_schema)
 
 
 class FailOnSubstring(Provider):
@@ -279,6 +286,7 @@ class CallLog:
         self.in_flight = 0
         self.peak = 0
         self.starts = []  # provider ids in the order their calls began
+        self.threads = set()  # the threads that called complete()
 
 
 class Logged(MockProvider):
@@ -293,6 +301,7 @@ class Logged(MockProvider):
             self.log.in_flight += 1
             self.log.peak = max(self.log.peak, self.log.in_flight)
             self.log.starts.append(self.provider_id)
+            self.log.threads.add(threading.current_thread())
         try:
             return super().complete(prompt)
         finally:
@@ -425,12 +434,21 @@ class TestScheduler:
         ]
         assert log.peak <= 2
 
-    def test_lane_count(self):
-        safe = MockProvider("safe", default_response="x")
-        serial = MockProvider("serial", default_response="x", concurrency_safe=False)
-        assert _lane_count(safe, 64, 3) == 3
-        assert _lane_count(safe, 2, 200) == 2
-        assert _lane_count(serial, 64, 3) == 1
+    @pytest.mark.parametrize(
+        "cap, n_products, concurrency_safe, reached",
+        [(64, 3, True, 3), (2, 40, True, 2), (64, 3, False, 1)],
+        ids=["few products", "low cap", "serial"],
+    )
+    def test_pool_size(self, gender_schema, cap, n_products, concurrency_safe, reached):
+        log = CallLog()
+        provider = Logged("m", log, delay=0.03, concurrency_safe=concurrency_safe)
+        records = extract_within(
+            10, self.products(n_products), gender_schema, [provider],
+            max_in_flight=cap,
+        )
+        assert len(records) == n_products
+        assert provider.max_in_flight == reached
+        assert len(log.threads) <= min(cap, n_products)
 
     def test_provider_bug_costs_one_request(self, gender_schema, caplog):
         buggy = RaisesOn("buggy", marker="number 2")
