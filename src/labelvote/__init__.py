@@ -1,65 +1,39 @@
-"""Consensus labels from multiple noisy annotators via weighted voting."""
+"""Consensus labels from multiple noisy annotators via weighted voting.
 
-from .aggregate import (
-    EnsembleConfig,
-    EnsembleState,
-    estimate_accuracies,
-    majority_vote,
-    oracle_weights,
-    run_ensemble,
-    update_weights,
-    weighted_vote,
-)
-from .core import (
-    AnnotationMatrix,
-    AnnotationRecord,
-    AttributeSchema,
-    ConflictError,
-    ExtendedLabel,
-    ProductText,
-    build_matrix,
-    decode_label,
-    encode_label,
-)
-from .extract import (
-    PromptTemplate,
-    SynonymMap,
-    default_template,
-    extract_labels,
-    parse_response,
-    render_prompt,
-)
-from .providers import (
-    CredentialError,
-    HttpProvider,
-    MockProvider,
-    Provider,
-    ProviderError,
-    ProviderRejectedError,
-    ProviderRequestError,
-    load_providers,
-    make_provider,
-)
-from .simulate import (
-    SimulationConfig,
-    WorkerProfile,
-    generate_ground_truth,
-    score_accuracy,
-    simulate_annotations,
-)
-from .storage import (
-    PredictionRecord,
-    WeightsReport,
-    read_annotations,
-    read_matrix,
-    read_prediction_rows,
-    read_predictions,
-    read_products,
-    read_weights,
-    write_annotations,
-    write_matrix,
-    write_predictions,
-    write_weights,
-)
+The package's names are resolved on first use (PEP 562), so importing it
+loads no submodule; numpy is loaded only with ``aggregate``, ``simulate``
+or ``core``.
+"""
 
+import importlib
+
+_MODULE = {  # name -> defining module
+    name: module
+    for module, names in {
+        "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote "
+        "oracle_weights run_ensemble update_weights weighted_vote",
+        "core": "AnnotationMatrix build_matrix",
+        "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
+        "render_prompt",
+        "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
+        "ProviderRejectedError ProviderRequestError load_providers make_provider",
+        "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
+        "decode_label encode_label",
+        "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
+        "simulate_annotations",
+        "storage": "PredictionRecord WeightsReport read_annotations read_matrix "
+        "read_prediction_rows read_predictions read_products read_weights write_annotations "
+        "write_matrix write_predictions write_weights",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_MODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # Not stored in globals(): a later patch of the module's name is seen here.
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE[name]}"), name)

@@ -11,16 +11,11 @@ import sys
 from collections import Counter
 
 from . import storage
-from .aggregate import EnsembleConfig, run_ensemble
-from .core import AttributeSchema, _canon
 from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
 from .providers import ProviderError, load_providers
-from .simulate import (
-    SimulationConfig,
-    WorkerProfile,
-    generate_ground_truth,
-    simulate_annotations,
-)
+from .schema import AttributeSchema, _canon
+
+# aggregate and simulate load numpy, which takes longer than a whole --help run.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -71,6 +66,8 @@ def _schema_from_args(args) -> AttributeSchema:
 
 
 def cmd_aggregate(args) -> int:
+    from .aggregate import EnsembleConfig, run_ensemble
+
     schema = _schema_from_args(args)
     matrix = storage.read_matrix(args.input, schema)
     if matrix.observed_count == 0:
@@ -90,7 +87,9 @@ def cmd_aggregate(args) -> int:
     return EXIT_OK
 
 
-def _load_workers(path) -> list[WorkerProfile]:
+def _load_workers(path) -> list:
+    from .simulate import WorkerProfile
+
     entries = storage.read_json(path)
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{path}: expected a non-empty JSON array of workers")
@@ -107,6 +106,8 @@ def _load_workers(path) -> list[WorkerProfile]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
+
     if not (args.attribute or args.schema):
         args.attribute = "attr"  # simulated data needs no real attribute name
     schema = _schema_from_args(args)

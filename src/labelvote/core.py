@@ -1,11 +1,9 @@
-"""Attribute vocabularies, label encoding, and the sparse annotation matrix.
+"""The sparse annotation matrix over one attribute, and its builder.
 
-Labels are encoded as small integers: 1..L index into the attribute's
-vocabulary, and 0 is reserved for "missing" (an annotator that never
-labeled the item, or a label outside the vocabulary). The annotation
-matrix stores only the non-missing entries, as three parallel int arrays
-(annotator index, item index, label) sorted item-major; a pair absent
-from the arrays is 0.
+The matrix stores only the non-missing entries, as three parallel int
+arrays (annotator index, item index, label) sorted item-major; a pair
+absent from the arrays is 0, the missing label. The numpy-free schema,
+label encoding and records live in ``schema`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,105 +15,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# An extended label: 0 = missing, 1..L = position in the vocabulary.
-ExtendedLabel = int
-
-
-class ConflictError(ValueError):
-    """Two annotations for the same (annotator, item) pair disagree."""
-
-
-def _canon(text: str) -> str:
-    return text.strip().casefold()
-
-
-@dataclass(frozen=True)
-class AttributeSchema:
-    """An attribute name plus its closed, ordered label vocabulary.
-
-    Label names keep the case they were declared with; matching during
-    encoding is trim- and case-insensitive. Encoded indices are 1-based
-    so that 0 stays free for the missing sentinel.
-    """
-
-    attribute_name: str
-    labels: tuple[str, ...]
-
-    def __init__(self, attribute_name: str, labels: Sequence[str]):
-        object.__setattr__(self, "attribute_name", attribute_name.strip())
-        object.__setattr__(self, "labels", tuple(l.strip() for l in labels))
-        if not self.attribute_name:
-            raise ValueError("attribute_name must be non-empty")
-        if len(self.labels) < 2:
-            raise ValueError("a schema needs at least 2 labels")
-        if any(not l for l in self.labels):
-            raise ValueError("label names must be non-empty")
-        if len({_canon(l) for l in self.labels}) != len(self.labels):
-            raise ValueError(
-                "label names must be distinct after trimming and case-folding"
-            )
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {_canon(l): k for k, l in enumerate(self.labels, start=1)}
-
-
-def encode_label(schema: AttributeSchema, raw: str) -> ExtendedLabel:
-    """Map raw text to its 1-based label index, or 0 if out of vocabulary.
-
-    Matching trims whitespace and case-folds; anything else (synonyms,
-    punctuation stripping) is the caller's job. Unmatched input maps to
-    missing rather than raising: free-text sources routinely produce
-    values outside the vocabulary, and missingness is first-class here.
-    """
-    return schema._index.get(_canon(raw), 0)
-
-
-def decode_label(schema: AttributeSchema, value: ExtendedLabel) -> str | None:
-    """Inverse of :func:`encode_label`: canonical label name, or None for 0."""
-    if not 0 <= value <= schema.n_labels:
-        raise ValueError(f"encoded label {value} out of range 0..{schema.n_labels}")
-    return None if value == 0 else schema.labels[value - 1]
-
-
-@dataclass(frozen=True)
-class AnnotationRecord:
-    """One annotator's raw label for one item: the interchange unit."""
-
-    annotator_id: str
-    item_id: str
-    attribute: str
-    raw_label: str
-
-    def __post_init__(self):
-        for name in ("annotator_id", "item_id", "attribute", "raw_label"):
-            if not str(getattr(self, name)).strip():
-                raise ValueError(f"AnnotationRecord.{name} must be non-empty")
-
-    def __iter__(self):
-        """Unpack as the row ``build_matrix`` reads: the four fields in order."""
-        return iter((self.annotator_id, self.item_id, self.attribute, self.raw_label))
-
-
-@dataclass(frozen=True)
-class ProductText:
-    """Unstructured text for one item: the extraction input."""
-
-    item_id: str
-    title: str
-    description: str = ""
-
-    def __post_init__(self):
-        if not self.item_id.strip():
-            raise ValueError("item_id must be non-empty")
-        if not self.title.strip():
-            raise ValueError("title must be non-empty")
-        if not isinstance(self.description, str):
-            raise ValueError("field 'description' must be a string")
+from .schema import (  # noqa: F401  (re-exported)
+    AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, ProductText, _canon,
+    decode_label, encode_label)
 
 
 @dataclass(frozen=True, eq=False)

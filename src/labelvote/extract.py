@@ -22,7 +22,7 @@ from importlib.resources import files
 from threading import Lock
 from typing import Mapping, Sequence
 
-from .core import (
+from .schema import (
     AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, encode_label
 )
 from .providers import Provider, ProviderError, ProviderRejectedError
@@ -67,9 +67,9 @@ def default_template() -> PromptTemplate:
 class SynonymMap:
     """Surface-form to canonical-label rewrites applied before encoding.
 
-    Keys are normalized (trimmed, case-folded) at construction. Every
-    target must be a label of ``schema``, so that a typo in a target fails
-    loudly instead of silently dropping annotations.
+    Keys are trimmed and case-folded at construction and must stay
+    distinct. Every target must be a label of ``schema``, so that a typo
+    in a target fails loudly instead of silently dropping annotations.
     """
 
     mapping: Mapping[str, str]
@@ -79,12 +79,17 @@ class SynonymMap:
             isinstance(s, str) for s in (*mapping, *mapping.values())
         ):
             raise ValueError("expected an object of string pairs")
+        surfaces: dict[str, str] = {}  # normalized key -> the key as given
         for surface, target in mapping.items():
             if encode_label(schema, target) == 0:
                 raise ValueError(
                     f"synonym {surface!r} -> {target!r}: target is not a schema label"
                 )
-        object.__setattr__(self, "mapping", {_canon(k): v for k, v in mapping.items()})
+            first = surfaces.setdefault(_canon(surface), surface)
+            if first != surface:
+                raise ValueError(f"synonyms {first!r} and {surface!r} are the same key "
+                                 "after trimming and case-folding")
+        object.__setattr__(self, "mapping", {k: mapping[s] for k, s in surfaces.items()})
 
     def canonical(self, text: str) -> str:
         return self.mapping.get(text, text)

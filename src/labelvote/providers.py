@@ -17,6 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
+from urllib.parse import urlsplit
 
 from .storage import read_json
 
@@ -91,9 +92,9 @@ class HttpProvider(Provider):
         _check_id_and_retries(self.provider_id, self.max_retries)
         if not isinstance(self.endpoint, str) or not self.endpoint.strip():
             raise ValueError("field 'endpoint' must be a non-empty string")
-        if not _URL.fullmatch(self.endpoint):
+        if not _URL.fullmatch(self.endpoint) or not urlsplit(self.endpoint).hostname:
             raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII, "
-                             "with no spaces or control characters")
+                             "with no spaces or control characters, naming a host")
         if not isinstance(self.model_name, str) or not self.model_name.strip():
             raise ValueError("field 'model_name' must be a non-empty string")
         if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))

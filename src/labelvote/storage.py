@@ -11,6 +11,7 @@ compiled pattern, any other goes line by line through ``json.loads``.
 Any line ``json.loads`` accepts reads the same either way, and errors
 keep their text and line number. ``labelvote evaluate`` reads
 (item_id, attribute, label) rows and builds no ``PredictionRecord``.
+Only ``read_matrix`` loads numpy, by importing ``core`` when called.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
 and floats survive a write/read cycle exactly.
@@ -23,11 +24,12 @@ import math
 import re
 from dataclasses import asdict, astuple, dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import (
-    AnnotationMatrix, AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, build_matrix
-)
+from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText
+
+if TYPE_CHECKING:
+    from .core import AnnotationMatrix
 
 _ANNOTATION_FIELDS = ("annotator_id", "item_id", "attribute", "raw_label")
 # JSONL line templates: filled with each value's _dumps, a line is json.dumps of its object.
@@ -172,6 +174,8 @@ def read_annotations(path) -> list[AnnotationRecord]:
 
 def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
     """``build_matrix(schema, read_annotations(path))`` without the records."""
+    from .core import build_matrix
+
     return build_matrix(schema, _annotation_rows(path))
 
 

@@ -568,6 +568,7 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
 MOCK = {"kind": "mock", "provider_id": "m1", "default_response": "a"}
 HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
 ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
+NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
 
 
 @pytest.mark.parametrize(
@@ -612,6 +613,9 @@ ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
         ({**HTTP, "endpoint": "http://127.0.0.1:9/v1 chat"}, ENDPOINT),
         ({**HTTP, "endpoint": "http://127.0.0.1:9/v1\tchat"}, ENDPOINT),
         ({**HTTP, "endpoint": "http://127.0.0.1:9/v1\x7f"}, ENDPOINT),
+        ({**HTTP, "endpoint": "http://"}, NO_HOST),
+        ({**HTTP, "endpoint": "http://:8080/v1"}, NO_HOST),
+        ({**HTTP, "endpoint": "http://[::1/v1"}, "Invalid IPv6 URL"),
     ],
     ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
          "mock no attempts", "mock string delay", "mock string fail_times",
@@ -623,7 +627,9 @@ ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
          "http NaN request option", "http infinite timeout", "http huge timeout",
          "mock infinite delay", "mock huge delay", "mock counter option",
          "http request_options messages", "http request_options model",
-         "http endpoint with space", "http endpoint with tab", "http endpoint with DEL"],
+         "http endpoint with space", "http endpoint with tab", "http endpoint with DEL",
+         "http endpoint without host", "http endpoint with port but no host",
+         "http endpoint with unclosed IPv6 host"],
 )
 def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry, reason):
     # Every bad entry exits 2 at load, before the batch sends any request.
@@ -652,8 +658,11 @@ def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry,
         ("--synonyms", b'{"woman": "girl"}',
          "synonym 'woman' -> 'girl': target is not a schema label"),
         ("--synonyms", b'{"woman": 5}', "expected an object of string pairs"),
+        ("--synonyms", b'{"Woman": "female", "woman ": "male"}',
+         "synonyms 'Woman' and 'woman ' are the same key after trimming and case-folding"),
     ],
-    ids=["non-UTF-8 template", "synonym outside vocabulary", "non-string synonym"],
+    ids=["non-UTF-8 template", "synonym outside vocabulary", "non-string synonym",
+         "synonym keys alike"],
 )
 def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, content, reason):
     # Each bad file exits 2 before the batch sends any request.
@@ -707,16 +716,108 @@ def test_tol_is_accepted_and_ignored(tmp_path):
     assert len(set(outputs)) == 1
 
 
-def test_import_leaves_http_stack_unloaded():
+def run_python_on_src(*args):
+    """Run a child interpreter that imports labelvote from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_import_leaves_http_stack_unloaded():
     probe = (
         "import sys, labelvote.cli; "
         "print([m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    result = run_python_on_src("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "subcommand, loads_numpy",
+    [("--help", False), ("evaluate", False), ("extract", False),
+     ("aggregate", True), ("simulate", True)],
+)
+def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcommand, loads_numpy):
+    # The console script imports labelvote.cli and calls main, as the probe does.
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(
+        json.dumps({"item_id": "p1", "attribute": "attr", "label": "a"}) + "\n", encoding="utf-8"
+    )
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([MOCK]), encoding="utf-8")
+    workers = tmp_path / "workers.json"
+    workers.write_text(json.dumps(TABLE_WORKERS), encoding="utf-8")
+    schema, out = ["--attribute", "attr", "--labels", "a,b"], str(tmp_path / "out.jsonl")
+    argv = {
+        "--help": ["--help"],
+        "evaluate": ["evaluate", "--predictions", str(truth), "--truth", str(truth)],
+        "extract": ["extract", "--products", str(products), *schema,
+                    "--providers", str(providers), "--out", out],
+        "aggregate": ["aggregate", "--input", str(annotations), *schema, "--out", out],
+        "simulate": ["simulate", "--items", "10", *schema, "--workers", str(workers),
+                     "--seed", "1", "--out", out],
+    }[subcommand]
+    probe = (
+        "import sys\n"
+        "from labelvote.cli import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:  # --help exits through argparse\n"
+        "    code = exc.code\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    result = run_python_on_src("-c", probe, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+
+
+# Every name the package exported when its __init__ imported all modules, by defining module.
+EXPORTS = {
+    "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote oracle_weights "
+    "run_ensemble update_weights weighted_vote",
+    "core": "AnnotationMatrix build_matrix",
+    "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
+    "render_prompt",
+    "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
+    "ProviderRejectedError ProviderRequestError load_providers make_provider",
+    "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
+    "decode_label encode_label",
+    "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
+    "simulate_annotations",
+    "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_prediction_rows "
+    "read_predictions read_products read_weights write_annotations write_matrix "
+    "write_predictions write_weights",
+}
+
+
+def test_package_exports_resolve_to_their_defining_modules(monkeypatch):
+    import labelvote
+    from labelvote import core, schema, storage
+
+    expected = {name: module for module, names in EXPORTS.items() for name in names.split()}
+    assert sorted(labelvote.__all__) == sorted(expected)
+    namespace = {}
+    exec("from labelvote import *", namespace)
+    for name, module in expected.items():
+        defined = getattr(sys.modules[f"labelvote.{module}"], name)
+        assert namespace[name] is defined, name
+        if module == "schema":  # moved out of core, which still re-exports it
+            assert getattr(core, name) is defined, name
+    assert not set(expected) & set(vars(labelvote))  # resolved on access, never cached
+    # So a patch of the defining module, as the benchmark's tracer makes, is seen here too.
+    monkeypatch.setattr(core, "build_matrix", "patched")
+    assert labelvote.build_matrix == "patched"
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        labelvote.no_such_name
+    with pytest.raises(ImportError):
+        exec("from labelvote import no_such_name", {})
+    assert storage is sys.modules["labelvote.storage"]
+    assert schema is sys.modules["labelvote.schema"]
