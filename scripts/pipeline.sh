@@ -1,7 +1,8 @@
 #!/bin/sh
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
-# Check that the installed package runs --help and evaluate without numpy.
+# Check that the installed package runs --help with no package module but
+# its command-line one, and --help and evaluate without numpy.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, one of them not concurrency-safe, check the
 # records' order, aggregate them, and check the consensus.
@@ -26,22 +27,26 @@ labelvote simulate --items 20000 --labels low,mid,high --workers "$out/workers.j
 labelvote aggregate --input "$out/annotations.jsonl" --attribute attr --labels low,mid,high --out "$out/predictions.jsonl" --weights-out "$out/weights.json"
 labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
 
-# Only simulate and aggregate use numpy, and it takes longer to import than
-# all of --help. The import log must name labelvote.cli, so that the check
-# cannot pass on a run that imported nothing.
-without_numpy() {
+# Each subcommand imports its own modules when it runs: --help needs none
+# but labelvote.cli, and only simulate and aggregate use numpy, which takes
+# longer to import than all of --help. The import log must name
+# labelvote.cli, so that the check cannot pass on a run that imported nothing.
+# Usage: imports_none_of <module pattern> <labelvote arguments>...
+imports_none_of() {
+  modules=$1
+  shift
   python3 -X importtime -m labelvote "$@" > /dev/null 2> "$out/importtime.txt"
   grep -q '| *labelvote\.cli$' "$out/importtime.txt" || {
     echo "pipeline: no import log for labelvote $1" >&2
     exit 1
   }
-  if grep -q '| *numpy$' "$out/importtime.txt"; then
-    echo "pipeline: labelvote $1 imported numpy" >&2
+  if grep -E "\\| *($modules)\$" "$out/importtime.txt" >&2; then
+    echo "pipeline: labelvote $1 imported the module(s) above" >&2
     exit 1
   fi
 }
-without_numpy --help
-without_numpy evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+imports_none_of 'numpy|labelvote\.(storage|schema|extract|providers)' --help
+imports_none_of 'numpy' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
 
 cat > "$out/products.jsonl" <<'EOF'
 {"item_id": "sku-1", "title": "Garanimals Toddler Girl Short Sleeve Graphic T-Shirt"}

@@ -8,14 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
-from . import storage
-from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
-from .providers import ProviderError, load_providers
-from .schema import AttributeSchema, _canon
-
-# aggregate and simulate load numpy, which takes longer than a whole --help run.
+# Each subcommand imports its modules when it runs, so --help loads none of
+# them and only simulate and aggregate pay for numpy.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -26,11 +21,14 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _schema_from_args(args) -> AttributeSchema:
+def _schema_from_args(args):
     """Resolve the attribute schema from --labels/--attribute or --schema.
 
     Inline flags win over the schema file, with a warning on conflict.
     """
+    from . import storage
+    from .schema import AttributeSchema
+
     file_attribute = None
     file_labels = None
     if getattr(args, "schema", None):
@@ -66,14 +64,16 @@ def _schema_from_args(args) -> AttributeSchema:
 
 
 def cmd_aggregate(args) -> int:
+    from . import storage
     from .aggregate import EnsembleConfig, run_ensemble
 
+    config = EnsembleConfig(max_iterations=args.max_iter)
     schema = _schema_from_args(args)
     matrix = storage.read_matrix(args.input, schema)
     if matrix.observed_count == 0:
         print("no annotations", file=sys.stderr)
         return EXIT_FAILURE
-    state = run_ensemble(matrix, EnsembleConfig(max_iterations=args.max_iter))
+    state = run_ensemble(matrix, config)
     storage.write_predictions(args.out, matrix.item_ids, state.predictions, schema)
     if args.weights_out:
         report = storage.WeightsReport.from_state(
@@ -88,6 +88,7 @@ def cmd_aggregate(args) -> int:
 
 
 def _load_workers(path) -> list:
+    from . import storage
     from .simulate import WorkerProfile
 
     entries = storage.read_json(path)
@@ -106,6 +107,7 @@ def _load_workers(path) -> list:
 
 
 def cmd_simulate(args) -> int:
+    from . import storage
     from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
 
     if not (args.attribute or args.schema):
@@ -129,6 +131,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import storage
+    from .schema import _canon
+
     predicted = storage.read_prediction_rows(args.predictions)
     actual = storage.read_prediction_rows(args.truth)
     for name, rows in (("predictions", predicted), ("truth", actual)):
@@ -155,6 +160,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from collections import Counter
+
+    from . import storage
+    from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
+    from .providers import ProviderError, load_providers
+
+    if args.max_in_flight < 1:
+        raise ValueError("max_in_flight must be >= 1")
     schema = _schema_from_args(args)
     products = storage.read_products(args.products)
     if not products:
@@ -176,14 +189,18 @@ def cmd_extract(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.synonyms}: {exc}") from exc
 
-    records = extract_labels(
-        products,
-        schema,
-        providers,
-        template=template,
-        synonyms=synonyms,
-        max_in_flight=args.max_in_flight,
-    )
+    try:
+        records = extract_labels(
+            products,
+            schema,
+            providers,
+            template=template,
+            synonyms=synonyms,
+            max_in_flight=args.max_in_flight,
+        )
+    except ProviderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     per_provider = Counter(r.annotator_id for r in records)
     for provider in providers:
         succeeded = per_provider.get(provider.provider_id, 0)
@@ -255,7 +272,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConflictError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ProviderError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -77,6 +77,14 @@ def decode_label(schema: AttributeSchema, value: ExtendedLabel) -> str | None:
     return None if value == 0 else schema.labels[value - 1]
 
 
+def _check_text(record, names) -> None:
+    """Raise ValueError unless every named field of ``record`` is a non-blank string."""
+    for name in names:
+        value = getattr(record, name)
+        if not isinstance(value, str) or not value.strip():
+            raise ValueError(f"{type(record).__name__}.{name} must be a non-empty string")
+
+
 @dataclass(frozen=True)
 class AnnotationRecord:
     """One annotator's raw label for one item: the interchange unit."""
@@ -87,9 +95,7 @@ class AnnotationRecord:
     raw_label: str
 
     def __post_init__(self):
-        for name in ("annotator_id", "item_id", "attribute", "raw_label"):
-            if not str(getattr(self, name)).strip():
-                raise ValueError(f"AnnotationRecord.{name} must be non-empty")
+        _check_text(self, ("annotator_id", "item_id", "attribute", "raw_label"))
 
     def __iter__(self):
         """Unpack as the row ``build_matrix`` reads: the four fields in order."""
@@ -105,9 +111,6 @@ class ProductText:
     description: str = ""
 
     def __post_init__(self):
-        if not self.item_id.strip():
-            raise ValueError("item_id must be non-empty")
-        if not self.title.strip():
-            raise ValueError("title must be non-empty")
+        _check_text(self, ("item_id", "title"))
         if not isinstance(self.description, str):
             raise ValueError("field 'description' must be a string")

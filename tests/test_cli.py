@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from labelvote import AnnotationRecord, read_annotations, read_predictions, read_weights
-from labelvote import cli
+from labelvote import (
+    AnnotationRecord, ProviderError, read_annotations, read_predictions, read_weights,
+)
 from labelvote.cli import main
 
 THREE_BY_FOUR = [
@@ -420,6 +421,25 @@ class TestExtract:
         ])
         assert code == 1
 
+    def test_provider_error_from_the_batch_exit_1(self, tmp_path, monkeypatch, capsys):
+        def give_up(*args, **kwargs):
+            raise ProviderError("quota exhausted")
+
+        monkeypatch.setattr("labelvote.extract.extract_labels", give_up)
+        products = tmp_path / "products.jsonl"
+        self.write_products(products)
+        providers = tmp_path / "providers.json"
+        self.write_providers(providers, [MOCK])
+        out = tmp_path / "annotations.jsonl"
+        code = main([
+            "extract", "--products", str(products), "--attribute", "gender",
+            "--labels", "male,female,unisex", "--providers", str(providers),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: quota exhausted\n"
+        assert not out.exists()
+
     def test_garanimals_pipeline_reaches_consensus(self, tmp_path, capsys):
         # Two mock providers, extract then aggregate, for gender and age.
         products = tmp_path / "products.jsonl"
@@ -636,7 +656,7 @@ def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry,
     def refuse(*args, **kwargs):
         raise AssertionError("extract_labels was called")
 
-    monkeypatch.setattr(cli, "extract_labels", refuse)
+    monkeypatch.setattr("labelvote.extract.extract_labels", refuse)
     products = tmp_path / "products.jsonl"
     products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
     providers = tmp_path / "providers.json"
@@ -669,7 +689,7 @@ def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, c
     def refuse(*args, **kwargs):
         raise AssertionError("extract_labels was called")
 
-    monkeypatch.setattr(cli, "extract_labels", refuse)
+    monkeypatch.setattr("labelvote.extract.extract_labels", refuse)
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
     products = tmp_path / "products.jsonl"
@@ -684,6 +704,25 @@ def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, c
     ])
     assert code == 2
     assert f"{bad}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (["aggregate", "--input", "MISSING", "--max-iter", "0"], "max_iterations must be >= 1"),
+        (["extract", "--products", "MISSING", "--providers", "MISSING",
+          "--max-in-flight", "0"], "max_in_flight must be >= 1"),
+    ],
+    ids=["--max-iter", "--max-in-flight"],
+)
+def test_bad_numeric_flag_exit_2_before_reading_input(tmp_path, capsys, argv, rule):
+    missing = str(tmp_path / "missing.jsonl")
+    out = tmp_path / "out.jsonl"
+    argv = [missing if arg == "MISSING" else arg for arg in argv]
+    code = main([*argv, "--attribute", "attr", "--labels", "a,b", "--out", str(out)])
+    assert code == 2
+    assert f"error: {rule}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -736,6 +775,16 @@ def test_import_leaves_http_stack_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+# The package modules each subcommand loads, beyond labelvote and labelvote.cli.
+SUBCOMMAND_MODULES = {
+    "--help": [],
+    "evaluate": ["schema", "storage"],
+    "extract": ["data", "extract", "providers", "schema", "storage"],  # data: the default prompt
+    "aggregate": ["aggregate", "core", "schema", "storage"],
+    "simulate": ["core", "schema", "simulate", "storage"],
+}
+
+
 @pytest.mark.parametrize(
     "subcommand, loads_numpy",
     [("--help", False), ("evaluate", False), ("extract", False),
@@ -743,6 +792,7 @@ def test_import_leaves_http_stack_unloaded():
 )
 def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcommand, loads_numpy):
     # The console script imports labelvote.cli and calls main, as the probe does.
+    # Only labelvote.* names are pinned: which stdlib modules load differs between hosts.
     annotations = tmp_path / "annotations.jsonl"
     write_annotation_lines(annotations, THREE_BY_FOUR)
     truth = tmp_path / "truth.jsonl"
@@ -773,10 +823,15 @@ def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcomman
         "except SystemExit as exc:  # --help exits through argparse\n"
         "    code = exc.code\n"
         "print(code, 'numpy' in sys.modules)\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'labelvote')))\n"
     )
     result = run_python_on_src("-c", probe, *argv)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    *_, numpy_line, modules_line = result.stdout.splitlines()
+    assert numpy_line == f"0 {loads_numpy}"
+    expected = ["labelvote", "labelvote.cli"]
+    expected += [f"labelvote.{name}" for name in SUBCOMMAND_MODULES[subcommand]]
+    assert modules_line.split() == sorted(expected)
 
 
 # Every name the package exported when its __init__ imported all modules, by defining module.

@@ -9,6 +9,7 @@ from labelvote import (
     AnnotationRecord,
     AttributeSchema,
     ConflictError,
+    ProductText,
     build_matrix,
     decode_label,
     encode_label,
@@ -227,3 +228,23 @@ class TestAnnotationRecord:
             AnnotationRecord("", "p1", "gender", "male")
         with pytest.raises(ValueError):
             AnnotationRecord("a1", "p1", "gender", "  ")
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_rejects_non_string_fields(self, field, value):
+        # Such a record would be written as a line that read_annotations rejects.
+        fields = ["a1", "p1", "gender", "male"]
+        fields[field] = value
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            AnnotationRecord(*fields)
+
+
+class TestProductText:
+    @pytest.mark.parametrize(
+        "fields",
+        [("p1", 5), ("p1", None), (5, "Socks"), ("p1", "  "), ("", "Socks")],
+        ids=["int title", "null title", "int item_id", "blank title", "empty item_id"],
+    )
+    def test_rejects_non_string_or_blank_text(self, fields):
+        with pytest.raises(ValueError, match="must be a non-empty string"):
+            ProductText(*fields)
