@@ -110,6 +110,11 @@ def cmd_simulate(args) -> int:
     from . import storage
     from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
 
+    # SimulationConfig's own checks, made before any file is read.
+    if args.items < 1:
+        raise ValueError("n_items must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if not (args.attribute or args.schema):
         args.attribute = "attr"  # simulated data needs no real attribute name
     schema = _schema_from_args(args)
@@ -131,21 +136,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from operator import eq, itemgetter
+
     from . import storage
     from .schema import _canon
 
     predicted = storage.read_prediction_rows(args.predictions)
     actual = storage.read_prediction_rows(args.truth)
-    for name, rows in (("predictions", predicted), ("truth", actual)):
-        ids = [row[0] for row in rows]
-        if len(set(ids)) != len(ids):
+    ids, attributes, labels = itemgetter(0), itemgetter(1), itemgetter(2)
+    by_id = dict(zip(map(ids, predicted), map(labels, predicted)))
+    truth = dict(zip(map(ids, actual), map(labels, actual)))
+    for name, rows, by_item in (("predictions", predicted, by_id), ("truth", actual, truth)):
+        if len(by_item) != len(rows):
             raise ValueError(f"duplicate item ids in {name} file")
     # A truth item with no prediction got no usable annotation: it abstains.
-    if not {row[0] for row in predicted} <= {row[0] for row in actual}:
+    if not by_id.keys() <= truth.keys():
         raise ValueError("item-id mismatch: predictions name items not in the truth file")
-    if predicted and {row[1] for row in predicted} != {row[1] for row in actual}:
+    if predicted and set(map(attributes, predicted)) != set(map(attributes, actual)):
         raise ValueError("attribute mismatch between predictions and truth")
-    if any(label is None for _, _, label in actual):
+    if None in truth.values():
         raise ValueError("truth file contains null labels")
 
     if not actual:
@@ -153,8 +162,9 @@ def cmd_evaluate(args) -> int:
 
     # Labels match trim- and case-insensitively; abstentions, missing items
     # and labels outside the truth vocabulary count as wrong.
-    by_id = {item_id: _canon(label) for item_id, _, label in predicted if label is not None}
-    right = sum(by_id.get(item_id) == _canon(label) for item_id, _, label in actual)
+    canon = {label: _canon(label) for label in {*by_id.values(), *truth.values()} - {None}}
+    guesses = map(canon.get, map(by_id.get, truth))  # None where it abstains or is missing
+    right = sum(map(eq, guesses, map(canon.__getitem__, truth.values())))
     print(f"{right / len(actual):.4f}")
     return EXIT_OK
 

@@ -61,7 +61,7 @@ class AnnotationMatrix:
             raise ValueError("duplicate item ids")
         if isinstance(entries, Mapping):
             entries = ([i for i, _ in entries], [j for _, j in entries], list(entries.values()))
-        annotators, items, labels = (np.array(c, dtype=np.intp) for c in entries)
+        annotators, items, labels = (np.asarray(c, dtype=np.intp) for c in entries)
         if labels.ndim != 1 or not annotators.shape == items.shape == labels.shape:
             raise ValueError("entry columns must be 1-D and equally long")
         n, p, n_labels = len(self.annotator_ids), len(self.item_ids), schema.n_labels
@@ -73,20 +73,29 @@ class AnnotationMatrix:
                 f"entry ({annotators[k]}, {items[k]}) = {labels[k]} is outside "
                 f"{n} annotators x {p} items x labels 1..{n_labels}"
             )
-        _, first, pair = np.unique(
-            items * n + annotators, return_index=True, return_inverse=True
-        )
-        earlier = labels[first][pair]
-        conflicts = np.flatnonzero(earlier != labels)
-        if conflicts.size:
-            k = conflicts[0]
-            raise ConflictError(
-                f"conflicting labels for annotator {self.annotator_ids[annotators[k]]!r} "
-                f"on item {self.item_ids[items[k]]!r}: "
-                f"{schema.labels[earlier[k] - 1]!r} vs {schema.labels[labels[k] - 1]!r}"
-            )
+        # A stable sort keeps a pair's repeats in input order, so the first
+        # entry of each run of equal keys is the pair's first entry.
+        keys = items * n + annotators
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        del keys
+        if not first.all():
+            earlier = np.empty_like(labels)
+            earlier[order] = labels[order[first]][np.cumsum(first) - 1]
+            conflicts = np.flatnonzero(earlier != labels)
+            if conflicts.size:
+                k = conflicts[0]
+                raise ConflictError(
+                    f"conflicting labels for annotator {self.annotator_ids[annotators[k]]!r} "
+                    f"on item {self.item_ids[items[k]]!r}: "
+                    f"{schema.labels[earlier[k] - 1]!r} vs {schema.labels[labels[k] - 1]!r}"
+                )
+        keep = order[first]
         for name, column in (("annotators", annotators), ("items", items), ("labels", labels)):
-            column = column[first]
+            column = column[keep]
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
@@ -141,13 +150,20 @@ class AnnotationMatrix:
         attribute, names = self.schema.attribute_name, self.schema.labels
         return [
             AnnotationRecord(self.annotator_ids[i], self.item_ids[j], attribute, names[v - 1])
-            for i, j, v in self._annotator_major()
+            for i, items, labels in self._annotator_runs()
+            for j, v in zip(items.tolist(), labels.tolist())
         ]
 
-    def _annotator_major(self):
-        """(annotator, item, label) index triples in ``to_records`` order."""
-        order = np.lexsort((self.items, self.annotators))
-        return zip(*(c[order].tolist() for c in (self.annotators, self.items, self.labels)))
+    def _annotator_runs(self):
+        """Yield (annotator, items, labels) for each annotator in index
+        order, its items ascending: the ``to_records`` order."""
+        # Entries are item-major with annotators ascending inside each item,
+        # so a stable sort by annotator leaves each one's items ascending.
+        order = np.argsort(self.annotators, kind="stable")
+        ends = np.cumsum(np.bincount(self.annotators, minlength=self.n_annotators)).tolist()
+        for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
+            run = order[lo:hi]
+            yield i, self.items[run], self.labels[run]
 
 
 def build_matrix(

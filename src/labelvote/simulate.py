@@ -66,14 +66,14 @@ class SimulationConfig:
 
 
 def _item_ids(n_items: int) -> tuple[str, ...]:
-    return tuple(f"item-{j:06d}" for j in range(1, n_items + 1))
+    return tuple(map("item-%06d".__mod__, range(1, n_items + 1)))
 
 
 def generate_ground_truth(config: SimulationConfig) -> list[ExtendedLabel]:
     """Draw one true label per item, iid uniform over 1..L."""
     rng = np.random.default_rng([config.seed, 0])
     labels = rng.integers(1, config.schema.n_labels + 1, size=config.n_items)
-    return [int(v) for v in labels]
+    return labels.tolist()
 
 
 def simulate_annotations(
@@ -93,26 +93,30 @@ def simulate_annotations(
     if any(not 1 <= t <= n_labels for t in truth):
         raise ValueError("ground truth labels must be in 1..L (no missing values)")
     n, p = len(config.workers), config.n_items
-    rng = np.random.default_rng([config.seed, 1])
-    miss_draw = rng.random((n, p))
-    correct_draw = rng.random((n, p))
-    offset = rng.integers(1, n_labels, size=(n, p))
-
     truth_row = np.asarray(truth, dtype=np.int64)
     accuracy = np.array([w.accuracy for w in config.workers])[:, None]
     missing_rate = np.array([w.missing_rate for w in config.workers])[:, None]
-    wrong = ((truth_row[None, :] - 1 + offset) % n_labels) + 1
-    labels = np.where(correct_draw < accuracy, truth_row[None, :], wrong)
-    observed = miss_draw >= missing_rate
+    # Each (n, p) draw is used up and freed before the next is made.
+    rng = np.random.default_rng([config.seed, 1])
+    observed = rng.random((n, p)) >= missing_rate
+    correct = rng.random((n, p)) < accuracy
+    labels = rng.integers(1, n_labels, size=(n, p))  # wrong-label offsets
+    labels += truth_row - 1
+    labels %= n_labels
+    labels += 1  # the wrong label: (truth - 1 + offset) % L + 1
+    np.copyto(labels, truth_row, where=correct)
+    del correct
 
     # Transposed, nonzero() walks item-major with annotators ascending, the
     # matrix's own order, so the matrix's stable sort finds it in place.
     items, annotators = np.nonzero(observed.T)
+    del observed
+    labels = labels[annotators, items]
     return AnnotationMatrix(
         schema=config.schema,
         annotator_ids=tuple(w.worker_id for w in config.workers),
         item_ids=_item_ids(p),
-        entries=(annotators, items, labels[annotators, items]),
+        entries=(annotators, items, labels),
     )
 
 

@@ -713,8 +713,12 @@ def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, c
         (["aggregate", "--input", "MISSING", "--max-iter", "0"], "max_iterations must be >= 1"),
         (["extract", "--products", "MISSING", "--providers", "MISSING",
           "--max-in-flight", "0"], "max_in_flight must be >= 1"),
+        (["simulate", "--items", "0", "--workers", "MISSING", "--seed", "1"],
+         "n_items must be >= 1"),
+        (["simulate", "--items", "5", "--workers", "MISSING", "--seed", "-1"],
+         "seed must be a non-negative integer"),
     ],
-    ids=["--max-iter", "--max-in-flight"],
+    ids=["--max-iter", "--max-in-flight", "--items", "--seed"],
 )
 def test_bad_numeric_flag_exit_2_before_reading_input(tmp_path, capsys, argv, rule):
     missing = str(tmp_path / "missing.jsonl")

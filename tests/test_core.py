@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelvote import (
     AnnotationMatrix,
@@ -215,6 +216,41 @@ class TestAnnotationMatrix:
         assert AnnotationMatrix(gender_schema, *ids, ([0, 0], [0, 0], [2, 2])).observed_count == 1
         with pytest.raises(ConflictError, match="'male' vs 'female'"):
             AnnotationMatrix(gender_schema, *ids, ([0, 0], [0, 0], [1, 2]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shuffled_and_duplicated_columns_match_first_wins(self, data):
+        schema = AttributeSchema("gender", ["male", "female", "unisex"])
+        n, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, p - 1))
+        entries = data.draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=12))
+        if entries:  # repeats of drawn pairs: agreeing, or with any label
+            repeats = st.tuples(st.sampled_from(entries), st.none() | st.integers(1, 3))
+            for (ij, v), w in data.draw(st.lists(repeats, max_size=12)):
+                entries.append((ij, v if w is None else w))
+        entries = data.draw(st.permutations(entries))
+        annotator_ids = [f"a{i}" for i in range(n)]
+        item_ids = [f"p{j}" for j in range(p)]
+
+        first, expected = {}, None
+        for (i, j), v in entries:
+            earlier = first.setdefault((i, j), v)
+            if earlier != v:
+                expected = (
+                    f"conflicting labels for annotator {annotator_ids[i]!r} on item "
+                    f"{item_ids[j]!r}: {schema.labels[earlier - 1]!r} vs {schema.labels[v - 1]!r}"
+                )
+                break
+        pairs, labels = zip(*entries) if entries else ((), ())
+        columns = ([i for i, _ in pairs], [j for _, j in pairs], list(labels))
+        if expected is not None:
+            with pytest.raises(ConflictError) as excinfo:
+                AnnotationMatrix(schema, annotator_ids, item_ids, columns)
+            assert str(excinfo.value) == expected
+            return
+        matrix = AnnotationMatrix(schema, annotator_ids, item_ids, columns)
+        columns = (matrix.items.tolist(), matrix.annotators.tolist(), matrix.labels.tolist())
+        assert list(zip(*columns)) == sorted((j, i, v) for (i, j), v in first.items())
 
     def test_columns_are_read_only(self, gender_schema):
         matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})

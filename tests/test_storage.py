@@ -424,21 +424,25 @@ class TestReadMatrix:
 class TestLineFormat:
     def awkward_matrix(self):
         schema = AttributeSchema('at"tr%s', AWKWARD[:4])
-        annotators, items = AWKWARD[2:], [f"{w}-{k}" for k, w in enumerate(AWKWARD * 2)]
+        # Annotator 1 has no entries; each other one has 8, more than one chunk of 5.
+        annotators = [AWKWARD[2], "no entries", *AWKWARD[3:]]
+        items = [f"{w}-{k}" for k, w in enumerate(AWKWARD * 2)]
         entries = {
             (i, j): 1 + (i * 7 + j) % 4
             for i in range(len(annotators))
             for j in range(len(items))
-            if (i + j) % 3
+            if (i + j) % 3 and i != 1
         }
         return AnnotationMatrix(schema, annotators, items, entries)
 
     def test_write_matrix_equals_write_annotations_of_its_records(self, tmp_path):
         matrix = self.awkward_matrix()
         fused, staged = tmp_path / "fused.jsonl", tmp_path / "staged.jsonl"
-        write_matrix(fused, matrix)
         write_annotations(staged, matrix.to_records())
-        assert fused.read_bytes() == staged.read_bytes()
+        for chunk in (storage._CHUNK, 5):
+            with mock.patch.object(storage, "_CHUNK", chunk):
+                write_matrix(fused, matrix)
+            assert fused.read_bytes() == staged.read_bytes()
         assert read_matrix(fused, matrix.schema) == build_matrix(
             matrix.schema, matrix.to_records()
         )
@@ -455,22 +459,30 @@ class TestLineFormat:
     def test_prediction_lines_are_json_dumps_of_the_record(self, tmp_path):
         schema = AttributeSchema('at"tr%s', AWKWARD)
         item_ids = [f"{w}-{k}" for k, w in enumerate(AWKWARD * 3)]
-        predictions = [k % (len(AWKWARD) + 1) for k in range(len(item_ids))]
+        every_label = [k % (len(AWKWARD) + 1) for k in range(len(item_ids))]
+        # Items 2-10 abstain, across the chunk boundaries at 4 and 8.
+        abstentions = [0 if 2 <= k <= 10 else 1 + k % len(AWKWARD) for k in range(len(item_ids))]
         path = tmp_path / "p.jsonl"
-        write_predictions(path, item_ids, predictions, schema)
-        expected = "".join(
-            json.dumps(
-                {
-                    "item_id": item_id,
-                    "attribute": schema.attribute_name,
-                    "label": None if value == 0 else schema.labels[value - 1],
-                },
-                ensure_ascii=False,
+        for ids, predictions, chunk in (
+            (item_ids, every_label, storage._CHUNK),
+            (item_ids, abstentions, 4),
+            ([], [], 4),
+        ):
+            with mock.patch.object(storage, "_CHUNK", chunk):
+                write_predictions(path, ids, predictions, schema)
+            expected = "".join(
+                json.dumps(
+                    {
+                        "item_id": item_id,
+                        "attribute": schema.attribute_name,
+                        "label": None if value == 0 else schema.labels[value - 1],
+                    },
+                    ensure_ascii=False,
+                )
+                + "\n"
+                for item_id, value in zip(ids, predictions)
             )
-            + "\n"
-            for item_id, value in zip(item_ids, predictions)
-        )
-        assert path.read_bytes() == expected.encode("utf-8")
+            assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_only_lf_ends_a_line(tmp_path):
