@@ -4,8 +4,9 @@
 # Check that the installed package runs --help with no package module but
 # its command-line one, and --help and evaluate without numpy.
 # Then, offline: extract labels from mock providers whose answers need the
-# response rules and a synonym, one of them not concurrency-safe, check the
-# records' order, aggregate them, and check the consensus.
+# response rules and a synonym, one of them not concurrency-safe and one
+# failing its first request, check the records' order, aggregate them, and
+# check the consensus.
 # Then, check that a mistyped provider option exits 2 and writes nothing.
 # Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
@@ -54,7 +55,7 @@ cat > "$out/products.jsonl" <<'EOF'
 EOF
 cat > "$out/providers.json" <<'EOF'
 [
-  {"kind": "mock", "provider_id": "m1", "responses": {"Garanimals": "Female.", "Socks": "male"}},
+  {"kind": "mock", "provider_id": "m1", "responses": {"Garanimals": "Female.", "Socks": "male"}, "fail_times": 1},
   {"kind": "mock", "provider_id": "m2", "responses": {"Garanimals": "\"female\"", "Socks": "Male!"}, "concurrency_safe": false},
   {"kind": "mock", "provider_id": "m3", "responses": {"Garanimals": "woman", "Socks": "'male'"}}
 ]
@@ -63,7 +64,8 @@ echo '{"woman": "female"}' > "$out/synonyms.json"
 
 schema="--attribute gender --labels male,female,unisex"
 labelvote extract --products "$out/products.jsonl" $schema --providers "$out/providers.json" --synonyms "$out/synonyms.json" --max-in-flight 2 --out "$out/extracted.jsonl"
-# m2 runs on a one-thread pool, m1 and m3 on two-thread pools; records stay provider-major.
+# One two-thread pool runs every request; m2 has one lane, and m1's first
+# request fails and is retried after its backoff. Records stay provider-major.
 order=$(python3 -c 'import json, sys; print(" ".join(json.loads(l)["annotator_id"] for l in open(sys.argv[1])))' "$out/extracted.jsonl")
 [ "$order" = "m1 m1 m2 m2 m3 m3" ] || {
   echo "pipeline: extract records are not in provider-major order: $order" >&2

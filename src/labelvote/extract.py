@@ -15,11 +15,12 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from importlib.resources import files
-from threading import Lock
+from itertools import count
+from queue import Empty, SimpleQueue
 from typing import Mapping, Sequence
 
 from .schema import (
@@ -129,58 +130,12 @@ def parse_response(
     return encode_label(schema, text)
 
 
-class _FifoSlots:
-    """Counting semaphore whose release hands the slot to the longest waiter.
-
-    With ``threading.Semaphore`` the releasing thread can take the slot
-    back before the woken waiter runs, so one provider's threads could
-    keep the cap to themselves.
-    """
-
-    def __init__(self, size: int):
-        self._lock = Lock()
-        self._free = size
-        self._waiters: deque[Lock] = deque()
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._free:
-                self._free -= 1
-                return
-            gate = Lock()
-            gate.acquire()
-            self._waiters.append(gate)
-        gate.acquire()  # released by the thread that hands over its slot
-
-    def __exit__(self, *exc_info) -> None:
-        with self._lock:
-            if self._waiters:
-                self._waiters.popleft().release()
-            else:
-                self._free += 1
-
-
-def _complete_with_retries(provider: Provider, prompt: str, slots: _FifoSlots) -> str | None:
-    for attempt in range(1, provider.max_retries + 1):
-        try:
-            with slots:
-                response = provider.complete(prompt)
-            if not isinstance(response, str):
-                raise TypeError(f"complete() returned {type(response).__name__}, not str")
-            return response
-        except ProviderError as exc:
-            if attempt == provider.max_retries or isinstance(exc, ProviderRejectedError):
-                logger.warning(
-                    "provider %s: giving up after %d attempt(s): %s",
-                    provider.provider_id, attempt, exc,
-                )
-                return None
-        except Exception:  # a provider bug costs this request, not the batch
-            logger.warning("provider %s: unexpected error, not retried",
-                           provider.provider_id, exc_info=True)
-            return None
-        time.sleep(RETRY_BACKOFF_S * 2 ** (attempt - 1))
-    return None
+def _complete(provider: Provider, prompt: str) -> str:
+    """One attempt; ``extract_labels`` decides on retries."""
+    response = provider.complete(prompt)
+    if not isinstance(response, str):
+        raise TypeError(f"complete() returned {type(response).__name__}, not str")
+    return response
 
 
 def extract_labels(
@@ -193,20 +148,22 @@ def extract_labels(
 ) -> list[AnnotationRecord]:
     """Query every provider about every product and collect the records.
 
-    ``max_in_flight`` caps the concurrent ``complete()`` calls across all
-    providers together. Each provider has its own thread pool, one
-    request per product: up to ``max_in_flight`` threads, but one for a
-    provider that is not concurrency-safe, so it holds at most one slot.
-    Slots are handed out in the order threads asked for them, so no
-    provider keeps the cap to itself, and a thread sleeping through a
-    retry's backoff holds no slot. Providers failing their
-    preflight (bad credentials) are dropped before the batch. A request
-    that fails past its retry budget or with ``ProviderRejectedError``,
-    raises a non-``ProviderError`` or returns a non-string (logged, not
-    retried), or returns only whitespace produces no record; aggregation
-    sees a missing entry there. A record holds the schema label its
-    response resolves to, else the response text. Output order is
-    (provider-major, product-minor) regardless of completion order.
+    One pool of ``max_in_flight`` threads runs every ``complete()`` call,
+    one attempt per task, so the cap holds across all providers together.
+    A provider has ``max_in_flight`` lanes, or one if it is not
+    concurrency-safe. Whenever a slot is free, the calling thread sends a
+    ready request of the provider with the most unfinished requests per
+    lane, the one sent to least recently on a tie, so no provider keeps
+    the cap to itself and none straggles alone at the end. A failed
+    attempt waits out its backoff on a heap, holding no slot and no
+    thread. Providers failing their preflight (bad credentials) are
+    dropped before the batch. A request that fails past its retry budget
+    or with ``ProviderRejectedError``, raises a non-``ProviderError`` or
+    returns a non-string (logged, not retried), or returns only whitespace
+    produces no record; aggregation sees a missing entry there. A record
+    holds the schema label its response resolves to, else the response
+    text. Output order is (provider-major, product-minor) regardless of
+    completion order.
     """
     if not products:
         raise ValueError("at least one product is required")
@@ -227,15 +184,58 @@ def extract_labels(
         live.append(provider)
 
     prompts = [render_prompt(template, product, schema) for product in products]
-    slots = _FifoSlots(max_in_flight)
-    with ExitStack() as pools:
-        futures = []
-        for provider in live:
-            # A pool never starts more threads than it has tasks.
-            workers = max_in_flight if provider.concurrency_safe else 1
-            submit = pools.enter_context(ThreadPoolExecutor(max_workers=workers)).submit
-            futures.append([submit(_complete_with_retries, provider, p, slots) for p in prompts])
-    results = [[future.result() for future in row] for row in futures]
+    n = len(prompts)
+    results: list[list[str | None]] = [[None] * n for _ in live]
+    lanes = [max_in_flight if p.concurrency_safe else 1 for p in live]
+    ready = [deque(range(n)) for _ in live]  # product indices waiting for a slot
+    tries = [[0] * n for _ in live]
+    unfinished = [n] * len(live)  # requests with no response that have not given up
+    running = [0] * len(live)
+    last_sent = [0] * len(live)
+    order = count(1)
+    backoffs: list[tuple[float, int, int]] = []  # (due, provider, product)
+    tasks: dict[Future, tuple[int, int]] = {}
+    finished: SimpleQueue[Future] = SimpleQueue()
+    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
+        while any(unfinished):
+            now = time.monotonic()
+            while backoffs and backoffs[0][0] <= now:
+                _, k, j = heappop(backoffs)
+                ready[k].appendleft(j)
+            while len(tasks) < max_in_flight:
+                eligible = [k for k in range(len(live)) if ready[k] and running[k] < lanes[k]]
+                if not eligible:
+                    break
+                k = min(eligible, key=lambda i: (-unfinished[i] / lanes[i], last_sent[i]))
+                j = ready[k].popleft()
+                tries[k][j] += 1
+                running[k] += 1
+                last_sent[k] = next(order)
+                future = pool.submit(_complete, live[k], prompts[j])
+                tasks[future] = k, j
+                future.add_done_callback(finished.put)
+            try:
+                future = finished.get(timeout=backoffs[0][0] - now if backoffs else None)
+            except Empty:  # a backoff came due
+                continue
+            k, j = tasks.pop(future)
+            running[k] -= 1
+            provider, attempt = live[k], tries[k][j]
+            try:
+                results[k][j] = future.result()
+            except ProviderError as exc:
+                if attempt < provider.max_retries and not isinstance(exc, ProviderRejectedError):
+                    due = time.monotonic() + RETRY_BACKOFF_S * 2 ** (attempt - 1)
+                    heappush(backoffs, (due, k, j))
+                    continue
+                logger.warning(
+                    "provider %s: giving up after %d attempt(s): %s",
+                    provider.provider_id, attempt, exc,
+                )
+            except Exception:  # a provider bug costs this request, not the batch
+                logger.warning("provider %s: unexpected error, not retried",
+                               provider.provider_id, exc_info=True)
+            unfinished[k] -= 1
 
     records = []
     for provider, responses in zip(live, results):

@@ -256,9 +256,17 @@ def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
 
 
 def read_products(path) -> list[ProductText]:
-    """Read product texts from JSONL: item_id, title, optional description."""
+    """Read product texts from JSONL: item_id, title, optional description.
+
+    A repeated ``item_id`` raises ValueError ``path:line:`` at the repeat.
+    """
     fields = ("item_id", "title")
-    return list(_read_jsonl(path, lambda obj: ProductText(**obj), fields, ("description",), fields))
+    products = {}
+    lines = _read_jsonl(path, lambda obj: ProductText(**obj), fields, ("description",), fields)
+    for line_no, product in enumerate(lines, start=1):
+        if products.setdefault(product.item_id, product) is not product:
+            raise ValueError(f"{path}:{line_no}: duplicate item_id {product.item_id!r}")
+    return list(products.values())
 
 
 def write_weights(path, report: WeightsReport) -> None:

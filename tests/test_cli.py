@@ -707,6 +707,28 @@ def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, c
     assert not out.exists()
 
 
+def test_repeated_product_exits_2_before_any_request(tmp_path, capsys, monkeypatch):
+    # Two requests for one item would write two records for (m1, a) that
+    # aggregate then rejects, or silently collapses when they agree.
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_labels was called")
+
+    monkeypatch.setattr("labelvote.extract.extract_labels", refuse)
+    products = tmp_path / "products.jsonl"
+    products.write_text(2 * (json.dumps({"item_id": "a", "title": "Socks"}) + "\n"),
+                        encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([MOCK]), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b",
+        "--providers", str(providers), "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{products}:2: duplicate item_id 'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, rule",
     [

@@ -4,6 +4,7 @@ import gzip
 import json
 import logging
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -297,6 +298,7 @@ class CallLog:
         self.in_flight = 0
         self.peak = 0
         self.starts = []  # provider ids in the order their calls began
+        self.prompts = []  # the prompt of each of those calls
         self.threads = set()  # the threads that called complete()
 
 
@@ -312,6 +314,7 @@ class Logged(MockProvider):
             self.log.in_flight += 1
             self.log.peak = max(self.log.peak, self.log.in_flight)
             self.log.starts.append(self.provider_id)
+            self.log.prompts.append(prompt)
             self.log.threads.add(threading.current_thread())
         try:
             return super().complete(prompt)
@@ -348,7 +351,7 @@ class ReturnsInt(Provider):
 
 
 def extract_within(timeout, *args, **kwargs):
-    """Run extract_labels in a helper thread: a lost slot handoff fails, not hangs."""
+    """Run extract_labels in a helper thread: a dispatcher that stalls fails, not hangs."""
     outcome = {}
 
     def target():
@@ -408,11 +411,30 @@ class TestScheduler:
             max_in_flight=1,
         )
         assert len(records) == 10
-        a_calls = [n for n, pid in enumerate(log.starts) if pid == "a"]
+        # a's first call, for product 0, failed; its retry is the second call
+        # with that prompt, and every call of b ran during the backoff.
+        retry = [
+            n for n, (pid, prompt) in enumerate(zip(log.starts, log.prompts))
+            if pid == "a" and "Product number 0" in prompt
+        ][1]
         b_calls = [n for n, pid in enumerate(log.starts) if pid == "b"]
-        # a's first call failed; every call of b ran while a slept before retrying.
         assert len(b_calls) == 5
-        assert max(b_calls) < a_calls[1]
+        assert max(b_calls) < retry
+
+    def test_backoff_lets_the_provider_go_on(self, gender_schema, monkeypatch):
+        monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.3)
+        log = CallLog()
+        provider = Logged("a", log, fail_times=1, max_retries=2)
+        records = extract_within(
+            10, self.products(5), gender_schema, [provider],
+            max_in_flight=1,
+        )
+        assert len(records) == 5
+        # Product 0 failed first; the provider's other four products ran
+        # during the backoff, on the one slot, and the retry came last.
+        numbers = [int(re.search(r"Product number (\d+)", p).group(1)) for p in log.prompts]
+        assert numbers[0] == numbers[-1] == 0
+        assert sorted(numbers[1:-1]) == [1, 2, 3, 4]
 
     def test_freed_slot_goes_to_the_longest_waiter(self, gender_schema):
         log = CallLog()
@@ -421,11 +443,30 @@ class TestScheduler:
             10, self.products(5), gender_schema, providers,
             max_in_flight=1,
         )
-        # One slot, two lanes: a lane that releases the slot and asks again
-        # queues behind the other instead of taking it back at once, so the
-        # calls alternate (9 switches) rather than run as two blocks (1).
+        # One slot, two providers with as many unfinished requests per lane:
+        # the one sent to least recently goes next, so the calls alternate
+        # (9 switches) rather than run as two blocks (1).
         switches = sum(x != y for x, y in zip(log.starts, log.starts[1:]))
         assert switches >= 6
+
+    def test_serial_provider_does_not_straggle(self, gender_schema):
+        log = CallLog()
+        providers = [
+            Logged("a", log, delay=0.01),
+            Logged("serial", log, delay=0.01, concurrency_safe=False),
+            Logged("b", log, delay=0.01),
+        ]
+        records = extract_within(
+            10, self.products(8), gender_schema, providers,
+            max_in_flight=2,
+        )
+        assert len(records) == 24
+        # Unfinished requests per lane pick the next request: the serial
+        # provider, with one lane, keeps a slot busy early instead of being
+        # left alone on one slot at the end.
+        assert log.starts[-1] != "serial"
+        assert log.peak <= 2
+        assert len(log.threads) <= 2  # one pool for all providers
 
     def test_mixed_providers_keep_provider_major_order(self, gender_schema, monkeypatch):
         monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.01)

@@ -238,6 +238,18 @@ class TestProducts:
             read_products(path)
         assert str(excinfo.value) == f"{path}:1: field 'description' must be a string"
 
+    def test_repeated_item_id_rejected_at_the_repeat(self, tmp_path):
+        path = tmp_path / "products.jsonl"
+        rows = [
+            {"item_id": "a", "title": "Socks"},
+            {"item_id": "b", "title": "Hat"},
+            {"item_id": "a", "title": "Socks"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_products(path)
+        assert str(excinfo.value) == f"{path}:3: duplicate item_id 'a'"
+
 
 # One valid line per JSONL reader, the field each case drops and the text
 # field each case blanks; every reader shares the same line checks.
