@@ -18,19 +18,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AnnotationMatrix, ExtendedLabel
+from .schema import _Checked, _rules
 
 IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(_Checked):
     """Loop guard for the aggregation: the iteration cap."""
 
     max_iterations: int = 100
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+    _RULES = _rules(max_iterations="an integer >= 1")
 
 
 @dataclass

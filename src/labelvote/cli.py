@@ -27,22 +27,20 @@ def _schema_from_args(args):
     Inline flags win over the schema file, with a warning on conflict.
     """
     from . import storage
-    from .schema import AttributeSchema
+    from .schema import AttributeSchema, _check_fields, _rules
 
     file_attribute = None
     file_labels = None
     if getattr(args, "schema", None):
         obj = storage.read_json(args.schema)
         try:
-            storage._check_object(obj, ("attribute", "labels"), text=("attribute",))
+            rules = _rules(attribute="a non-empty string", labels="an array of strings")
+            storage._check_object(obj, rules)
+            _check_fields(obj, rules)
         except ValueError as exc:
             raise ValueError(f"{args.schema}: {exc}") from exc
         file_attribute = obj["attribute"]
         file_labels = obj["labels"]
-        if not isinstance(file_labels, list) or not all(
-            isinstance(l, str) for l in file_labels
-        ):
-            raise ValueError(f"{args.schema}: labels must be an array of strings")
 
     labels = None
     if getattr(args, "labels", None):
@@ -97,24 +95,20 @@ def _load_workers(path) -> list:
     workers = []
     for n, entry in enumerate(entries, start=1):
         try:
-            storage._check_object(
-                entry, ("worker_id", "accuracy"), ("missing_rate",), ("worker_id",)
-            )
+            storage._check_object(entry, ("worker_id", "accuracy"), ("missing_rate",))
             workers.append(WorkerProfile(**entry))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: worker #{n}: {exc}") from exc
     return workers
 
 
 def cmd_simulate(args) -> int:
     from . import storage
+    from .schema import _check_fields
     from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
 
     # SimulationConfig's own checks, made before any file is read.
-    if args.items < 1:
-        raise ValueError("n_items must be >= 1")
-    if args.seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    _check_fields({"n_items": args.items, "seed": args.seed}, SimulationConfig._RULES)
     if not (args.attribute or args.schema):
         args.attribute = "attr"  # simulated data needs no real attribute name
     schema = _schema_from_args(args)

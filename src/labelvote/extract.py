@@ -24,7 +24,8 @@ from queue import Empty, SimpleQueue
 from typing import Mapping, Sequence
 
 from .schema import (
-    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, encode_label
+    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, _check_fields, _rules,
+    encode_label,
 )
 from .providers import Provider, ProviderError, ProviderRejectedError
 
@@ -69,23 +70,23 @@ class SynonymMap:
     """Surface-form to canonical-label rewrites applied before encoding.
 
     Keys are trimmed and case-folded at construction and must stay
-    distinct. Every target must be a label of ``schema``, so that a typo
-    in a target fails loudly instead of silently dropping annotations.
+    distinct and non-blank. Every target must be a label of ``schema``, so
+    that a typo in a target fails loudly instead of silently dropping
+    annotations.
     """
 
     mapping: Mapping[str, str]
 
     def __init__(self, mapping: Mapping[str, str], schema: AttributeSchema):
-        if not isinstance(mapping, Mapping) or not all(
-            isinstance(s, str) for s in (*mapping, *mapping.values())
-        ):
-            raise ValueError("expected an object of string pairs")
+        _check_fields({"synonyms": mapping}, _rules(synonyms="an object of string pairs"))
         surfaces: dict[str, str] = {}  # normalized key -> the key as given
         for surface, target in mapping.items():
             if encode_label(schema, target) == 0:
                 raise ValueError(
                     f"synonym {surface!r} -> {target!r}: target is not a schema label"
                 )
+            if not _canon(surface):  # peeled punctuation would resolve to its target
+                raise ValueError(f"synonym {surface!r} -> {target!r}: key is blank after trimming")
             first = surfaces.setdefault(_canon(surface), surface)
             if first != surface:
                 raise ValueError(f"synonyms {first!r} and {surface!r} are the same key "

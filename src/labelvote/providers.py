@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 from urllib.parse import urlsplit
 
+from .schema import _check_fields, _rules
 from .storage import read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
@@ -58,16 +59,6 @@ class Provider:
         raise NotImplementedError
 
 
-def _check_id_and_retries(provider_id, max_retries) -> None:
-    """The checks of the options every provider kind takes."""
-    if not isinstance(provider_id, str) or not provider_id.strip():
-        raise ValueError("field 'provider_id' must be a non-empty string")
-    if isinstance(max_retries, bool) or not isinstance(max_retries, int):
-        raise ValueError("field 'max_retries' must be an integer")
-    if max_retries < 1:
-        raise ValueError("max_retries must be >= 1")
-
-
 # eq=False: instances compare and hash by identity, as request_options is a dict.
 @dataclass(frozen=True, eq=False)
 class HttpProvider(Provider):
@@ -87,23 +78,17 @@ class HttpProvider(Provider):
     max_retries: int = 3
     credential_ref: str = ""
     request_options: Mapping[str, object] = field(default_factory=dict)
+    _RULES = _rules(
+        provider_id="a non-empty string", endpoint="a non-empty string",
+        model_name="a non-empty string", timeout=f"a number > 0 and <= {MAX_WAIT_S}",
+        max_retries="an integer >= 1", credential_ref="a string", request_options="an object",
+    )
 
     def __post_init__(self):
-        _check_id_and_retries(self.provider_id, self.max_retries)
-        if not isinstance(self.endpoint, str) or not self.endpoint.strip():
-            raise ValueError("field 'endpoint' must be a non-empty string")
+        _check_fields(vars(self), self._RULES)
         if not _URL.fullmatch(self.endpoint) or not urlsplit(self.endpoint).hostname:
             raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII, "
                              "with no spaces or control characters, naming a host")
-        if not isinstance(self.model_name, str) or not self.model_name.strip():
-            raise ValueError("field 'model_name' must be a non-empty string")
-        if (isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float))
-                or not 0 < self.timeout <= MAX_WAIT_S):
-            raise ValueError(f"field 'timeout' must be a number > 0 and <= {MAX_WAIT_S}")
-        if not isinstance(self.credential_ref, str):
-            raise ValueError("field 'credential_ref' must be a string")
-        if not isinstance(self.request_options, Mapping):
-            raise ValueError("field 'request_options' must be an object")
         if {"messages", "model"} & self.request_options.keys():
             raise ValueError("field 'request_options' must not set 'messages' or 'model'")
         try:
@@ -195,25 +180,17 @@ class MockProvider(Provider):
     calls: int = field(default=0, init=False)
     in_flight: int = field(default=0, init=False)
     max_in_flight: int = field(default=0, init=False)
+    _RULES = _rules(
+        provider_id="a non-empty string", responses="an object of string pairs",
+        default_response="a string or null", fail_times="an integer >= 0",
+        delay=f"a number >= 0 and <= {MAX_WAIT_S}", max_retries="an integer >= 1",
+        concurrency_safe="a boolean",
+    )
 
     def __post_init__(self):
-        _check_id_and_retries(self.provider_id, self.max_retries)
-        responses = {} if self.responses is None else self.responses
-        if not isinstance(responses, Mapping) or not all(
-            isinstance(s, str) for s in (*responses, *responses.values())
-        ):
-            raise ValueError("field 'responses' must map strings to strings")
-        if self.default_response is not None and not isinstance(self.default_response, str):
-            raise ValueError("field 'default_response' must be a string or null")
-        fail_times = self.fail_times
-        if isinstance(fail_times, bool) or not isinstance(fail_times, int) or fail_times < 0:
-            raise ValueError("field 'fail_times' must be an integer >= 0")
-        if (isinstance(self.delay, bool) or not isinstance(self.delay, (int, float))
-                or not 0 <= self.delay <= MAX_WAIT_S):
-            raise ValueError(f"field 'delay' must be a number >= 0 and <= {MAX_WAIT_S}")
-        if not isinstance(self.concurrency_safe, bool):
-            raise ValueError("field 'concurrency_safe' must be a boolean")
-        self.responses = dict(responses)
+        self.responses = {} if self.responses is None else self.responses
+        _check_fields(vars(self), self._RULES)
+        self.responses = dict(self.responses)
         self._lock = threading.Lock()
 
     def complete(self, prompt: str) -> str:

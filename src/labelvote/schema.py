@@ -8,9 +8,12 @@ numpy; the annotation matrix lives in ``core``.
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 # An extended label: 0 = missing, 1..L = position in the vocabulary.
 ExtendedLabel = int
@@ -77,25 +80,63 @@ def decode_label(schema: AttributeSchema, value: ExtendedLabel) -> str | None:
     return None if value == 0 else schema.labels[value - 1]
 
 
-def _check_text(record, names) -> None:
-    """Raise ValueError unless every named field of ``record`` is a non-blank string."""
-    for name in names:
-        value = getattr(record, name)
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"{type(record).__name__}.{name} must be a non-empty string")
+# Field kinds, worded as their messages word them. A bool is never an integer or a number.
+_KINDS = {
+    "a non-empty string": lambda v: isinstance(v, str) and v.strip() != "",
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an object": lambda v: isinstance(v, Mapping),
+    "an object of string pairs": lambda v: isinstance(v, Mapping)
+        and all(isinstance(s, str) for s in (*v, *v.values())),
+    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def _rules(**rules: str) -> dict:
+    """A table for ``_check_fields``, keyed by field name: per field, a kind
+    of ``_KINDS`` and any bounds, as ``timeout="a number > 0 and <= 86400"``."""
+    table = {}
+    for name, rule in rules.items():
+        kind, *bounds = re.split(r" (?:and )?(?=[<>])", rule)
+        limits = [(_BOUNDS[op], float(x)) for op, x in map(str.split, bounds)]
+        table[name] = _KINDS[kind], limits, f"field {name!r} must be {rule}"
+    return table
+
+
+def _check_fields(values: Mapping[str, object], rules: dict) -> None:
+    """Raise ValueError for the first field of ``rules`` whose value breaks its
+    rule. A bounded value must be finite, so NaN and Infinity fail every bound."""
+    for name, (is_kind, limits, message) in rules.items():
+        value = values[name]
+        if not is_kind(value) or limits and not (
+            -math.inf < value < math.inf and all(within(value, x) for within, x in limits)
+        ):
+            raise ValueError(message)
+
+
+class _Checked:
+    """Base of a dataclass whose ``_RULES`` table checks its fields when it is built."""
+
+    def __post_init__(self):
+        _check_fields(vars(self), self._RULES)
 
 
 @dataclass(frozen=True)
-class AnnotationRecord:
+class AnnotationRecord(_Checked):
     """One annotator's raw label for one item: the interchange unit."""
 
     annotator_id: str
     item_id: str
     attribute: str
     raw_label: str
-
-    def __post_init__(self):
-        _check_text(self, ("annotator_id", "item_id", "attribute", "raw_label"))
+    _RULES = _rules(
+        annotator_id="a non-empty string", item_id="a non-empty string",
+        attribute="a non-empty string", raw_label="a non-empty string",
+    )
 
     def __iter__(self):
         """Unpack as the row ``build_matrix`` reads: the four fields in order."""
@@ -103,14 +144,11 @@ class AnnotationRecord:
 
 
 @dataclass(frozen=True)
-class ProductText:
+class ProductText(_Checked):
     """Unstructured text for one item: the extraction input."""
 
     item_id: str
     title: str
     description: str = ""
-
-    def __post_init__(self):
-        _check_text(self, ("item_id", "title"))
-        if not isinstance(self.description, str):
-            raise ValueError("field 'description' must be a string")
+    _RULES = _rules(item_id="a non-empty string", title="a non-empty string",
+                    description="a string")

@@ -21,48 +21,38 @@ from typing import Sequence
 import numpy as np
 
 from .core import AnnotationMatrix, AttributeSchema, ExtendedLabel
+from .schema import _Checked, _rules
 
 
 @dataclass(frozen=True)
-class WorkerProfile:
+class WorkerProfile(_Checked):
     """True accuracy and missingness of one simulated annotator."""
 
     worker_id: str
     accuracy: float
     missing_rate: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.worker_id, str) or not self.worker_id.strip():
-            raise ValueError("field 'worker_id' must be a non-empty string")
-        for name, value in (("accuracy", self.accuracy), ("missing_rate", self.missing_rate)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"field {name!r} must be a number")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy {self.accuracy} outside [0, 1]")
-        if not 0.0 <= self.missing_rate < 1.0:
-            raise ValueError(f"missing_rate {self.missing_rate} outside [0, 1)")
+    _RULES = _rules(worker_id="a non-empty string", accuracy="a number >= 0 and <= 1",
+                    missing_rate="a number >= 0 and < 1")
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(_Checked):
     """Everything one simulation needs; the seed is mandatory by design."""
 
     n_items: int
     schema: AttributeSchema
     workers: tuple[WorkerProfile, ...]
     seed: int
+    _RULES = _rules(n_items="an integer >= 1", seed="an integer >= 0")
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "workers", tuple(self.workers))
-        if self.n_items < 1:
-            raise ValueError("n_items must be >= 1")
         if not self.workers:
             raise ValueError("at least one worker is required")
         ids = [w.worker_id for w in self.workers]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate worker ids")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 def _item_ids(n_items: int) -> tuple[str, ...]:

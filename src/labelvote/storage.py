@@ -25,22 +25,20 @@ import json
 import math
 import re
 from dataclasses import asdict, astuple, dataclass
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence
 
-from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText
+from .schema import (
+    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _check_fields, _Checked, _rules
+)
 
 if TYPE_CHECKING:
     from .core import AnnotationMatrix
 
-_ANNOTATION_FIELDS = ("annotator_id", "item_id", "attribute", "raw_label")
 # JSONL line templates: filled with each value's _dumps, a line is json.dumps of its object.
 _ANNOTATION_HEAD = '{"annotator_id": %s, "item_id": '
 _ANNOTATION_TAIL = ', "attribute": %s, "raw_label": %s}\n'
 _PREDICTION_HEAD = '{"item_id": '
 _PREDICTION_TAIL = ', "attribute": %s, "label": %s}\n'
-_PREDICTION_FIELDS = ("item_id", "attribute", "label")
-_WEIGHTS_FIELDS = ("attribute", "weights", "accuracies", "iterations_run", "converged")
 # json.dumps(text, ensure_ascii=False) of a str: the C function its encoder calls.
 _dumps = json.encoder.encode_basestring
 _CHUNK = 1 << 16  # lines joined per write, so the writers' memory stays bounded
@@ -57,19 +55,22 @@ _PREDICTION_SHAPE = re.compile(
     % (_STRING, _STRING, f"(?:{_STRING}|null)") + "$", re.M
 )
 _BLOCK = 1 << 14  # bytes; a block's rows live at once: 1 MiB blocks cost ~9 MiB of RSS
+_WEIGHTS_RULES = _rules(
+    attribute="a non-empty string", weights="an object", accuracies="an object",
+    iterations_run="an integer >= 0", converged="a boolean",
+)
 
 
 @dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(_Checked):
     """One consensus label as stored on disk; label None means abstention."""
 
     item_id: str
     attribute: str
     label: str | None
-
-    def __post_init__(self):
-        if self.label is not None and not isinstance(self.label, str):
-            raise ValueError("field 'label' must be a string or null")
+    _RULES = _rules(
+        item_id="a non-empty string", attribute="a non-empty string", label="a string or null"
+    )
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,9 @@ class WeightsReport:
         )
 
 
-def _check_object(obj, fields, optional=(), text=()) -> None:
-    """Raise ValueError unless ``obj`` is an object with every field of
-    the tuple ``fields``, no field outside ``fields`` and ``optional``,
-    and a non-blank string in each field of ``text``."""
+def _check_object(obj, fields, optional=()) -> None:
+    """Raise ValueError unless ``obj`` is an object with every field of ``fields``
+    (names, or a rule table) and no field outside ``fields`` and ``optional``."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     missing = [f for f in fields if f not in obj]
@@ -113,14 +113,10 @@ def _check_object(obj, fields, optional=(), text=()) -> None:
     unknown = [k for k in obj if k not in fields and k not in optional]
     if unknown:
         raise ValueError(f"unknown field(s) {', '.join(unknown)}")
-    for name in text:
-        value = obj[name]
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"field {name!r} must be a non-empty string")
 
 
-def _read_jsonl(path, make, fields, optional=(), text=(), shape=None):
-    """Yield ``make(obj)`` for each line's object, in file order.
+def _read_jsonl(path, make, fields, optional=(), shape=None):
+    """Yield ``make(**obj)`` for each line's object, in file order.
 
     A line that is not UTF-8, blank or malformed, or a ValueError from
     ``make``, raises ValueError prefixed ``path:line:``. Lines come in
@@ -136,12 +132,12 @@ def _read_jsonl(path, make, fields, optional=(), text=(), shape=None):
             except UnicodeDecodeError:
                 rows = ()
             yield from rows if len(rows) == len(lines) else _parse_lines(
-                path, lines, first, make, fields, optional, text
+                path, lines, first, make, fields, optional
             )
             first += len(lines)
 
 
-def _parse_lines(path, lines, first, make, fields, optional, text):
+def _parse_lines(path, lines, first, make, fields, optional):
     """The per-line path, numbering ``lines`` from ``first``."""
     for line_no, line in enumerate(lines, start=first):
         try:
@@ -149,8 +145,8 @@ def _parse_lines(path, lines, first, make, fields, optional, text):
             if not line.strip():
                 raise ValueError("blank line")
             obj = json.loads(line)
-            _check_object(obj, fields, optional, text)
-            yield make(obj)
+            _check_object(obj, fields, optional)
+            yield make(**obj)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:
@@ -185,8 +181,8 @@ def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
 
 
 def _annotation_rows(path):
-    fields = _ANNOTATION_FIELDS
-    return _read_jsonl(path, itemgetter(*fields), fields, (), fields, _ANNOTATION_SHAPE.findall)
+    shape = _ANNOTATION_SHAPE.findall
+    return _read_jsonl(path, AnnotationRecord, AnnotationRecord._RULES, (), shape)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
@@ -250,9 +246,9 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
     """``read_predictions`` as (item_id, attribute, label) tuples."""
-    make = lambda obj: astuple(PredictionRecord(**obj))  # only on lines the pattern skips
+    make = lambda **obj: astuple(PredictionRecord(**obj))  # only on lines the pattern skips
     shape = lambda text: [(i, a, label or None) for i, a, label in _PREDICTION_SHAPE.findall(text)]
-    return list(_read_jsonl(path, make, _PREDICTION_FIELDS, (), _PREDICTION_FIELDS[:2], shape))
+    return list(_read_jsonl(path, make, PredictionRecord._RULES, (), shape))
 
 
 def read_products(path) -> list[ProductText]:
@@ -260,9 +256,8 @@ def read_products(path) -> list[ProductText]:
 
     A repeated ``item_id`` raises ValueError ``path:line:`` at the repeat.
     """
-    fields = ("item_id", "title")
     products = {}
-    lines = _read_jsonl(path, lambda obj: ProductText(**obj), fields, ("description",), fields)
+    lines = _read_jsonl(path, ProductText, ("item_id", "title"), ("description",))
     for line_no, product in enumerate(lines, start=1):
         if products.setdefault(product.item_id, product) is not product:
             raise ValueError(f"{path}:{line_no}: duplicate item_id {product.item_id!r}")
@@ -280,26 +275,14 @@ def read_weights(path) -> WeightsReport:
     """Read a weights report, rejecting any deviation from the schema."""
     obj = read_json(path)
     try:
-        _check_object(obj, _WEIGHTS_FIELDS, text=("attribute",))
+        _check_object(obj, _WEIGHTS_RULES)
+        _check_fields(obj, _WEIGHTS_RULES)
         for name in ("weights", "accuracies"):
-            mapping = obj[name]
-            if not isinstance(mapping, dict):
-                raise ValueError(f"{name!r} must be an object")
-            for key, value in mapping.items():
+            for key, value in obj[name].items():
                 if (not isinstance(value, (int, float)) or isinstance(value, bool)
                         or not math.isfinite(value)):
                     raise ValueError(f"{name}[{key!r}] must be a finite number")
-        iterations = obj["iterations_run"]
-        if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 0:
-            raise ValueError("'iterations_run' must be an integer >= 0")
-        if not isinstance(obj["converged"], bool):
-            raise ValueError("'converged' must be a boolean")
-        return WeightsReport(
-            attribute=obj["attribute"],
-            weights={k: float(v) for k, v in obj["weights"].items()},
-            accuracies={k: float(v) for k, v in obj["accuracies"].items()},
-            iterations_run=iterations,
-            converged=obj["converged"],
-        )
+                obj[name][key] = float(value)
+        return WeightsReport(**obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -405,3 +405,13 @@ class TestEnsembleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EnsembleConfig(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "value", [2.5, True, -1, float("nan"), float("inf")],
+        ids=["fractional", "boolean", "negative", "NaN", "Infinity"],
+    )
+    def test_iteration_cap_is_an_integer_of_at_least_one(self, value):
+        # 2.5 used to fail later inside run_ensemble's range(); True ran one iteration.
+        with pytest.raises(ValueError) as excinfo:
+            EnsembleConfig(max_iterations=value)
+        assert str(excinfo.value) == "field 'max_iterations' must be an integer >= 1"

@@ -26,6 +26,8 @@ TABLE_WORKERS = [
     {"worker_id": "w4", "accuracy": 0.911, "missing_rate": 0.0},
     {"worker_id": "w5", "accuracy": 0.934, "missing_rate": 0.0},
 ]
+ACCURACY = "field 'accuracy' must be a number >= 0 and <= 1"
+MISSING_RATE = "field 'missing_rate' must be a number >= 0 and < 1"
 
 
 def write_annotation_lines(path, triples, attribute="attr"):
@@ -175,7 +177,7 @@ class TestSimulate:
             "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
-        assert f"{workers_file}: worker #1: accuracy 1.7 outside [0, 1]" in capsys.readouterr().err
+        assert f"{workers_file}: worker #1: {ACCURACY}" in capsys.readouterr().err
 
     def test_schema_file_attribute_is_kept(self, tmp_path, capsys):
         workers_file = tmp_path / "workers.json"
@@ -570,9 +572,19 @@ def test_cli_chain_builds_no_annotation_record(tmp_path, monkeypatch):
         ({"worker_id": "w1", "accuracy": 0.9, "missing_rate": False},
          "worker #1: field 'missing_rate' must be a number"),
         ({"worker_id": "w1", "accuracy": "x"}, "worker #1: field 'accuracy' must be a number"),
+        ({"worker_id": "w1", "accuracy": float("nan")}, f"worker #1: {ACCURACY}"),
+        ({"worker_id": "w1", "accuracy": float("inf")}, f"worker #1: {ACCURACY}"),
+        ({"worker_id": "w1", "accuracy": float("-inf")}, f"worker #1: {ACCURACY}"),
+        ({"worker_id": "w1", "accuracy": 0.9, "missing_rate": float("nan")},
+         f"worker #1: {MISSING_RATE}"),
+        ({"worker_id": "w1", "accuracy": 0.9, "missing_rate": float("-inf")},
+         f"worker #1: {MISSING_RATE}"),
+        ({"worker_id": "w1", "accuracy": 0.9, "missing_rate": 1}, f"worker #1: {MISSING_RATE}"),
     ],
     ids=["non-object", "missing field", "unknown field", "non-string id", "boolean accuracy",
-         "boolean missing_rate", "string accuracy"],
+         "boolean missing_rate", "string accuracy", "NaN accuracy", "infinite accuracy",
+         "negative infinite accuracy", "NaN missing_rate", "negative infinite missing_rate",
+         "missing_rate 1"],
 )
 def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
     workers_file = tmp_path / "workers.json"
@@ -588,6 +600,8 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
 MOCK = {"kind": "mock", "provider_id": "m1", "default_response": "a"}
 HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
 ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
+TIMEOUT = "field 'timeout' must be a number > 0 and <= 86400"
+DELAY = "field 'delay' must be a number >= 0 and <= 86400"
 NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
 
 
@@ -602,12 +616,13 @@ NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
         ({"kind": "mock", "provider_id": "  ", "default_response": "a"},
          "field 'provider_id' must be a non-empty string"),
         ({"kind": "mock", "provider_id": "m1", "default_response": "a", "max_retries": 0},
-         "max_retries must be >= 1"),
+         "field 'max_retries' must be an integer >= 1"),
         ({**MOCK, "delay": "x"}, "field 'delay' must be a number >= 0"),
         ({**MOCK, "fail_times": "x"}, "field 'fail_times' must be an integer >= 0"),
         ({**MOCK, "delay": -1}, "field 'delay' must be a number >= 0"),
         ({**MOCK, "default_response": 5}, "field 'default_response' must be a string or null"),
-        ({**MOCK, "responses": {"Shirt": 5}}, "field 'responses' must map strings to strings"),
+        ({**MOCK, "responses": {"Shirt": 5}},
+         "field 'responses' must be an object of string pairs"),
         ({**MOCK, "concurrency_safe": "no"}, "field 'concurrency_safe' must be a boolean"),
         ({**HTTP, "credential_ref": 5}, "field 'credential_ref' must be a string"),
         ({**HTTP, "max_retries": 2.5}, "field 'max_retries' must be an integer"),
@@ -636,6 +651,15 @@ NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
         ({**HTTP, "endpoint": "http://"}, NO_HOST),
         ({**HTTP, "endpoint": "http://:8080/v1"}, NO_HOST),
         ({**HTTP, "endpoint": "http://[::1/v1"}, "Invalid IPv6 URL"),
+        ({**HTTP, "max_retries": True}, "field 'max_retries' must be an integer >= 1"),
+        ({**MOCK, "max_retries": False}, "field 'max_retries' must be an integer >= 1"),
+        ({**MOCK, "fail_times": False}, "field 'fail_times' must be an integer >= 0"),
+        ({**MOCK, "delay": True}, DELAY),
+        ({**HTTP, "timeout": 0}, TIMEOUT),
+        ({**HTTP, "timeout": float("nan")}, TIMEOUT),
+        ({**HTTP, "timeout": float("-inf")}, TIMEOUT),
+        ({**MOCK, "delay": float("nan")}, DELAY),
+        ({**MOCK, "delay": float("-inf")}, DELAY),
     ],
     ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
          "mock no attempts", "mock string delay", "mock string fail_times",
@@ -649,7 +673,10 @@ NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
          "http request_options messages", "http request_options model",
          "http endpoint with space", "http endpoint with tab", "http endpoint with DEL",
          "http endpoint without host", "http endpoint with port but no host",
-         "http endpoint with unclosed IPv6 host"],
+         "http endpoint with unclosed IPv6 host", "http bool max_retries",
+         "mock bool max_retries", "mock bool fail_times", "mock bool delay", "http zero timeout",
+         "http NaN timeout", "http negative infinite timeout", "mock NaN delay",
+         "mock negative infinite delay"],
 )
 def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry, reason):
     # Every bad entry exits 2 at load, before the batch sends any request.
@@ -677,12 +704,13 @@ def test_bad_provider_entry_names_the_file(tmp_path, capsys, monkeypatch, entry,
         ("--template", b"\xff", NOT_UTF8),
         ("--synonyms", b'{"woman": "girl"}',
          "synonym 'woman' -> 'girl': target is not a schema label"),
-        ("--synonyms", b'{"woman": 5}', "expected an object of string pairs"),
+        ("--synonyms", b'{"woman": 5}', "field 'synonyms' must be an object of string pairs"),
         ("--synonyms", b'{"Woman": "female", "woman ": "male"}',
          "synonyms 'Woman' and 'woman ' are the same key after trimming and case-folding"),
+        ("--synonyms", b'{"  ": "male"}', "synonym '  ' -> 'male': key is blank after trimming"),
     ],
     ids=["non-UTF-8 template", "synonym outside vocabulary", "non-string synonym",
-         "synonym keys alike"],
+         "synonym keys alike", "blank synonym key"],
 )
 def test_bad_extract_input_names_the_file(tmp_path, capsys, monkeypatch, flag, content, reason):
     # Each bad file exits 2 before the batch sends any request.
@@ -732,13 +760,14 @@ def test_repeated_product_exits_2_before_any_request(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize(
     "argv, rule",
     [
-        (["aggregate", "--input", "MISSING", "--max-iter", "0"], "max_iterations must be >= 1"),
+        (["aggregate", "--input", "MISSING", "--max-iter", "0"],
+         "field 'max_iterations' must be an integer >= 1"),
         (["extract", "--products", "MISSING", "--providers", "MISSING",
           "--max-in-flight", "0"], "max_in_flight must be >= 1"),
         (["simulate", "--items", "0", "--workers", "MISSING", "--seed", "1"],
-         "n_items must be >= 1"),
+         "field 'n_items' must be an integer >= 1"),
         (["simulate", "--items", "5", "--workers", "MISSING", "--seed", "-1"],
-         "seed must be a non-negative integer"),
+         "field 'seed' must be an integer >= 0"),
     ],
     ids=["--max-iter", "--max-in-flight", "--items", "--seed"],
 )
@@ -789,6 +818,28 @@ def run_python_on_src(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_pipeline_script_passes(tmp_path):
+    # scripts/pipeline.sh runs every subcommand through a `labelvote` on PATH,
+    # checks the --help and evaluate import budgets and serves a local HTTP stub.
+    root = Path(__file__).resolve().parents[1]
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    shim = bin_dir / "labelvote"
+    shim.write_text('#!/bin/sh\nexec python3 -m labelvote "$@"\n', encoding="utf-8")
+    shim.chmod(0o755)
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
+        PYTHONPATH=os.pathsep.join(p for p in paths if p),
+    )
+    result = subprocess.run(
+        ["sh", str(root / "scripts" / "pipeline.sh"), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_import_leaves_http_stack_unloaded():

@@ -131,13 +131,21 @@ class TestSynonymMap:
         with pytest.raises(ValueError, match=f"synonyms {first!r} and {second!r} are the same"):
             SynonymMap(mapping, gender_schema)
 
+    @pytest.mark.parametrize("key", ["", "  ", "\t"], ids=["empty", "spaces", "tab"])
+    def test_rejects_blank_key(self, gender_schema, key):
+        # A blank key would map the "" that peeling leaves of "." or "?!" to its target.
+        with pytest.raises(ValueError) as excinfo:
+            SynonymMap({key: "male"}, gender_schema)
+        assert str(excinfo.value) == f"synonym {key!r} -> 'male': key is blank after trimming"
+
     @pytest.mark.parametrize(
         "mapping", [["woman"], {"woman": 5}, {5: "female"}, {"woman": None}],
         ids=["non-mapping", "non-string target", "non-string key", "null target"],
     )
     def test_rejects_non_string_pairs(self, gender_schema, mapping):
-        with pytest.raises(ValueError, match="expected an object of string pairs"):
+        with pytest.raises(ValueError) as excinfo:
             SynonymMap(mapping, gender_schema)
+        assert str(excinfo.value) == "field 'synonyms' must be an object of string pairs"
 
 
 class FailOnSubstring(Provider):
@@ -788,6 +796,10 @@ class TestProviderLoading:
     def test_scheme_ignores_case_and_one_day_is_the_longest_wait(self):
         assert HttpProvider("h1", "HTTPS://x", "m", timeout=86_400).timeout == 86_400
         assert MockProvider("m1", delay=86_400).delay == 86_400
+
+    def test_zero_delay_and_no_scripted_failures_are_allowed(self):
+        provider = MockProvider("m1", default_response="x", fail_times=0, delay=0)
+        assert (provider.fail_times, provider.delay) == (0, 0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

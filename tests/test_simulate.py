@@ -27,6 +27,13 @@ class TestWorkerProfile:
         with pytest.raises(ValueError):
             WorkerProfile("  ", 0.5)
 
+    def test_bounds_are_inclusive_but_for_missing_rate_one(self):
+        assert WorkerProfile("w", 1, missing_rate=0).accuracy == 1
+        assert WorkerProfile("w", 0.0, missing_rate=0.999).missing_rate == 0.999
+        with pytest.raises(ValueError) as excinfo:
+            WorkerProfile("w", 0.5, missing_rate=1)
+        assert str(excinfo.value) == "field 'missing_rate' must be a number >= 0 and < 1"
+
 
 class TestSimulationConfig:
     def test_validation(self):
@@ -40,6 +47,25 @@ class TestSimulationConfig:
             SimulationConfig(10, schema, [worker, worker], 1)
         with pytest.raises(ValueError):
             SimulationConfig(10, schema, [worker], -1)
+
+    @pytest.mark.parametrize(
+        "n_items, seed, message",
+        [
+            (True, 1, "field 'n_items' must be an integer >= 1"),
+            (2.5, 1, "field 'n_items' must be an integer >= 1"),
+            (float("inf"), 1, "field 'n_items' must be an integer >= 1"),
+            (10, True, "field 'seed' must be an integer >= 0"),
+            (10, 1.0, "field 'seed' must be an integer >= 0"),
+            (10, float("nan"), "field 'seed' must be an integer >= 0"),
+        ],
+        ids=["boolean items", "fractional items", "infinite items", "boolean seed",
+             "float seed", "NaN seed"],
+    )
+    def test_sizes_and_seed_are_integers(self, n_items, seed, message):
+        schema = AttributeSchema("attr", ["a", "b"])
+        with pytest.raises(ValueError) as excinfo:
+            SimulationConfig(n_items, schema, [WorkerProfile("w", 0.9)], seed)
+        assert str(excinfo.value) == message
 
 
 class TestGenerateGroundTruth:

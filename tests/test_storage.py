@@ -12,6 +12,7 @@ from labelvote import (
     AnnotationMatrix,
     AnnotationRecord,
     AttributeSchema,
+    PredictionRecord,
     WeightsReport,
     build_matrix,
     read_annotations,
@@ -132,6 +133,20 @@ class TestPredictions:
     def test_length_mismatch(self, tmp_path, gender_schema):
         with pytest.raises(ValueError):
             write_predictions(tmp_path / "p.jsonl", ["p1"], [1, 2], gender_schema)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((5, "gender", "male"), "field 'item_id' must be a non-empty string"),
+            (("p1", None, "male"), "field 'attribute' must be a non-empty string"),
+            (("p1", "gender", 5), "field 'label' must be a string or null"),
+        ],
+        ids=["int item_id", "null attribute", "int label"],
+    )
+    def test_record_checks_its_fields(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            PredictionRecord(*fields)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("value", [-1, 4])
     def test_out_of_range_label_writes_nothing(self, tmp_path, gender_schema, value):
@@ -333,6 +348,11 @@ WEIGHTS = (
 )
 
 
+def weights_with(**fields):
+    """A valid weights report with ``fields`` replaced, as JSON text."""
+    return json.dumps({**json.loads(WEIGHTS.format(weight=1.0, accuracy=1.0)), **fields})
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
@@ -342,8 +362,16 @@ WEIGHTS = (
         (WEIGHTS.format(weight="NaN", accuracy="1.0"), "weights['a'] must be a finite number"),
         (WEIGHTS.format(weight="1.0", accuracy="-Infinity"),
          "accuracies['a'] must be a finite number"),
+        (weights_with(attribute=" "), "field 'attribute' must be a non-empty string"),
+        (weights_with(weights=[1.0]), "field 'weights' must be an object"),
+        (weights_with(iterations_run=True), "field 'iterations_run' must be an integer >= 0"),
+        (weights_with(iterations_run=2.5), "field 'iterations_run' must be an integer >= 0"),
+        (weights_with(iterations_run=-1), "field 'iterations_run' must be an integer >= 0"),
+        (weights_with(converged=1), "field 'converged' must be a boolean"),
     ],
-    ids=["invalid JSON", "non-object", "missing fields", "NaN weight", "infinite accuracy"],
+    ids=["invalid JSON", "non-object", "missing fields", "NaN weight", "infinite accuracy",
+         "blank attribute", "array weights", "boolean iterations", "fractional iterations",
+         "negative iterations", "integer converged"],
 )
 def test_weights_reader_names_the_file(tmp_path, text, reason):
     path = tmp_path / "w.json"
