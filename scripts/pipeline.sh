@@ -2,7 +2,8 @@
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
 # Check that the installed package runs --help with no package module but
-# its command-line one, and --help and evaluate without numpy.
+# its command-line one, and --help and evaluate without numpy; evaluate
+# loads the JSONL reader but not the records of storage and schema.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
@@ -46,8 +47,8 @@ imports_none_of() {
     exit 1
   fi
 }
-imports_none_of 'numpy|labelvote\.(storage|schema|extract|providers)' --help
-imports_none_of 'numpy' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+imports_none_of 'numpy|labelvote\.(jsonl|storage|schema|extract|providers)' --help
+imports_none_of 'numpy|labelvote\.(storage|schema)' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
 
 cat > "$out/products.jsonl" <<'EOF'
 {"item_id": "sku-1", "title": "Garanimals Toddler Girl Short Sleeve Graphic T-Shirt"}

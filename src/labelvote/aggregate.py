@@ -42,8 +42,13 @@ class EnsembleState:
     converged: bool
 
 
-def _vote(items, labels, voter_weights, n_items, n_labels) -> np.ndarray:
-    """Weighted plurality label of items 0..n_items-1, 0 where nobody voted.
+def _ballot(items, labels, n_items, n_labels) -> tuple:
+    """The weight-free half of ``_vote``: each vote's score slot, the items with no vote, L."""
+    return items * n_labels + labels - 1, np.bincount(items, minlength=n_items) == 0, n_labels
+
+
+def _vote(ballot, voter_weights) -> np.ndarray:
+    """Weighted plurality label of each item of ``ballot``, 0 where nobody voted.
 
     The votes come item-major with annotators ascending inside each item,
     ``voter_weights`` holding each vote's annotator weight. ``np.bincount``
@@ -51,11 +56,10 @@ def _vote(items, labels, voter_weights, n_items, n_labels) -> np.ndarray:
     score is summed in annotator order, as a dense loop would, and exact
     ties come out the same: always to the lowest label index.
     """
-    scores = np.bincount(
-        items * n_labels + labels - 1, weights=voter_weights, minlength=n_items * n_labels
-    ).reshape(n_items, n_labels)
-    predictions = scores.argmax(axis=1) + 1
-    predictions[np.bincount(items, minlength=n_items) == 0] = 0
+    slots, unvoted, n_labels = ballot
+    scores = np.bincount(slots, weights=voter_weights, minlength=unvoted.size * n_labels)
+    predictions = scores.reshape(unvoted.size, n_labels).argmax(axis=1) + 1
+    predictions[unvoted] = 0
     return predictions
 
 
@@ -76,9 +80,9 @@ def weighted_vote(
     if not 0 <= item < matrix.n_items:
         raise ValueError(f"item index {item} out of range 0..{matrix.n_items - 1}")
     lo, hi = np.searchsorted(matrix.items, [item, item + 1])
+    ballot = _ballot(matrix.items[lo:hi] - item, matrix.labels[lo:hi], 1, matrix.schema.n_labels)
     voter_weights = np.asarray(weights, dtype=float)[matrix.annotators[lo:hi]]
-    votes = (matrix.items[lo:hi] - item, matrix.labels[lo:hi], voter_weights)
-    return int(_vote(*votes, 1, matrix.schema.n_labels)[0])
+    return int(_vote(ballot, voter_weights)[0])
 
 
 def estimate_accuracies(
@@ -97,8 +101,9 @@ def estimate_accuracies(
         )
     predicted = np.asarray(predictions, dtype=np.intp)[matrix.items]
     n = matrix.n_annotators
-    observed = np.bincount(matrix.annotators[predicted != 0], minlength=n)
-    matches = np.bincount(matrix.annotators[matrix.labels == predicted], minlength=n)
+    # Weighted counts: a boolean compress of the votes costs more than the count.
+    observed = np.bincount(matrix.annotators, weights=predicted != 0, minlength=n)
+    matches = np.bincount(matrix.annotators, weights=matrix.labels == predicted, minlength=n)
     chance = np.full(n, 1.0 / matrix.schema.n_labels)
     return np.divide(matches, observed, out=chance, where=observed > 0).tolist()
 
@@ -125,8 +130,8 @@ def oracle_weights(true_accuracies: Sequence[float], n_labels: int) -> list[floa
 
 def majority_vote(matrix: AnnotationMatrix) -> list[ExtendedLabel]:
     """Uniform-weight baseline: every annotator counts 1."""
-    votes = (matrix.items, matrix.labels, np.ones(matrix.observed_count))
-    return _vote(*votes, matrix.n_items, matrix.schema.n_labels).tolist()
+    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, matrix.schema.n_labels)
+    return _vote(ballot, np.ones(matrix.observed_count)).tolist()
 
 
 def run_ensemble(
@@ -154,12 +159,12 @@ def run_ensemble(
     if matrix.observed_count == 0:
         raise ValueError("annotation matrix has no observed entries")
     n_labels = matrix.schema.n_labels
+    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, n_labels)
     weights = [1.0] * matrix.n_annotators
     previous_predictions: np.ndarray | None = None
     converged = False
     for iteration in range(1, config.max_iterations + 1):
-        votes = (matrix.items, matrix.labels, np.asarray(weights)[matrix.annotators])
-        predictions = _vote(*votes, matrix.n_items, n_labels)
+        predictions = _vote(ballot, np.asarray(weights)[matrix.annotators])
         accuracies = estimate_accuracies(matrix, predictions)
         weights = update_weights(accuracies, n_labels)
         if on_iteration is not None:

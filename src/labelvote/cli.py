@@ -132,11 +132,10 @@ def cmd_simulate(args) -> int:
 def cmd_evaluate(args) -> int:
     from operator import eq, itemgetter
 
-    from . import storage
-    from .schema import _canon
+    from .jsonl import _canon, read_prediction_rows
 
-    predicted = storage.read_prediction_rows(args.predictions)
-    actual = storage.read_prediction_rows(args.truth)
+    predicted = read_prediction_rows(args.predictions)
+    actual = read_prediction_rows(args.truth)
     ids, attributes, labels = itemgetter(0), itemgetter(1), itemgetter(2)
     by_id = dict(zip(map(ids, predicted), map(labels, predicted)))
     truth = dict(zip(map(ids, actual), map(labels, actual)))
@@ -167,11 +166,13 @@ def cmd_extract(args) -> int:
     from collections import Counter
 
     from . import storage
-    from .extract import PromptTemplate, SynonymMap, default_template, extract_labels
+    from .extract import (
+        _MAX_IN_FLIGHT, PromptTemplate, SynonymMap, default_template, extract_labels
+    )
+    from .jsonl import _check_fields
     from .providers import ProviderError, load_providers
 
-    if args.max_in_flight < 1:
-        raise ValueError("max_in_flight must be >= 1")
+    _check_fields({"max_in_flight": args.max_in_flight}, _MAX_IN_FLIGHT)
     schema = _schema_from_args(args)
     products = storage.read_products(args.products)
     if not products:

@@ -23,13 +23,12 @@ from itertools import count
 from queue import Empty, SimpleQueue
 from typing import Mapping, Sequence
 
-from .schema import (
-    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _canon, _check_fields, _rules,
-    encode_label,
-)
+from .jsonl import _canon, _check_fields, _rules
+from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, encode_label
 from .providers import Provider, ProviderError, ProviderRejectedError
 
 logger = logging.getLogger(__name__)
+_MAX_IN_FLIGHT = _rules(max_in_flight="an integer >= 1")
 
 _PLACEHOLDERS = ("{title}", "{description}", "{attribute}", "{labels}")
 _QUOTE_CHARS = "\"'`“”‘’"
@@ -170,8 +169,7 @@ def extract_labels(
         raise ValueError("at least one product is required")
     if not providers:
         raise ValueError("at least one provider is required")
-    if max_in_flight < 1:
-        raise ValueError("max_in_flight must be >= 1")
+    _check_fields({"max_in_flight": max_in_flight}, _MAX_IN_FLIGHT)
     if template is None:
         template = default_template()
 

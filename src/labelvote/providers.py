@@ -15,11 +15,11 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from .schema import _check_fields, _rules
+from .jsonl import _check_fields, _check_object, _rules
 from .storage import read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
@@ -227,10 +227,13 @@ def make_provider(config: Mapping[str, object]) -> Provider:
     if kind not in ("http", "mock"):
         raise ValueError(f"unknown provider kind {kind!r}")
     options = {k: v for k, v in config.items() if k != "kind"}
+    cls = HttpProvider if kind == "http" else MockProvider
+    required = [f.name for f in fields(cls) if f.default is f.default_factory]  # both MISSING
     try:
-        return (HttpProvider if kind == "http" else MockProvider)(**options)
-    except TypeError as exc:
+        _check_object(options, required, cls._RULES)  # a rule per constructor argument
+    except ValueError as exc:
         raise ValueError(f"invalid {kind} provider config: {exc}") from exc
+    return cls(**options)
 
 
 def load_providers(path) -> list[Provider]:

@@ -3,17 +3,16 @@
 Labels are encoded as small integers: 1..L index into the attribute's
 vocabulary, and 0 is reserved for "missing" (an annotator that never
 labeled the item, or a label outside the vocabulary). Nothing here needs
-numpy; the annotation matrix lives in ``core``.
+numpy; the annotation matrix lives in ``core``, the field-rule checker in ``jsonl``.
 """
 
 from __future__ import annotations
 
-import math
-import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
+
+from .jsonl import _canon, _check_fields, _rules
 
 # An extended label: 0 = missing, 1..L = position in the vocabulary.
 ExtendedLabel = int
@@ -21,10 +20,6 @@ ExtendedLabel = int
 
 class ConflictError(ValueError):
     """Two annotations for the same (annotator, item) pair disagree."""
-
-
-def _canon(text: str) -> str:
-    return text.strip().casefold()
 
 
 @dataclass(frozen=True)
@@ -78,44 +73,6 @@ def decode_label(schema: AttributeSchema, value: ExtendedLabel) -> str | None:
     if not 0 <= value <= schema.n_labels:
         raise ValueError(f"encoded label {value} out of range 0..{schema.n_labels}")
     return None if value == 0 else schema.labels[value - 1]
-
-
-# Field kinds, worded as their messages word them. A bool is never an integer or a number.
-_KINDS = {
-    "a non-empty string": lambda v: isinstance(v, str) and v.strip() != "",
-    "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "an object": lambda v: isinstance(v, Mapping),
-    "an object of string pairs": lambda v: isinstance(v, Mapping)
-        and all(isinstance(s, str) for s in (*v, *v.values())),
-    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-}
-_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
-
-
-def _rules(**rules: str) -> dict:
-    """A table for ``_check_fields``, keyed by field name: per field, a kind
-    of ``_KINDS`` and any bounds, as ``timeout="a number > 0 and <= 86400"``."""
-    table = {}
-    for name, rule in rules.items():
-        kind, *bounds = re.split(r" (?:and )?(?=[<>])", rule)
-        limits = [(_BOUNDS[op], float(x)) for op, x in map(str.split, bounds)]
-        table[name] = _KINDS[kind], limits, f"field {name!r} must be {rule}"
-    return table
-
-
-def _check_fields(values: Mapping[str, object], rules: dict) -> None:
-    """Raise ValueError for the first field of ``rules`` whose value breaks its
-    rule. A bounded value must be finite, so NaN and Infinity fail every bound."""
-    for name, (is_kind, limits, message) in rules.items():
-        value = values[name]
-        if not is_kind(value) or limits and not (
-            -math.inf < value < math.inf and all(within(value, x) for within, x in limits)
-        ):
-            raise ValueError(message)
 
 
 class _Checked:

@@ -4,13 +4,7 @@ Annotations, predictions and products are JSONL (one object per line,
 UTF-8, LF); a weights report is a single JSON document, and so are the
 schema, workers, providers and synonyms files, which go through
 ``read_json``. Readers are strict: unknown fields, missing fields, and
-wrong types are errors, never coerced.
-Annotation and prediction files are read in blocks of about 16 KiB: a
-block whose lines all have the writers' exact shape is split by one
-compiled pattern, any other goes line by line through ``json.loads``.
-Any line ``json.loads`` accepts reads the same either way, and errors
-keep their text and line number. ``labelvote evaluate`` reads
-(item_id, attribute, label) rows and builds no ``PredictionRecord``.
+wrong types are errors, never coerced. The JSONL reader lives in ``jsonl``.
 Only ``read_matrix`` loads numpy, by importing ``core`` when called.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
@@ -23,38 +17,21 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .schema import (
-    AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _check_fields, _Checked, _rules
+from .jsonl import (  # noqa: F401  (read_prediction_rows re-exported)
+    _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _PREDICTION_HEAD, _PREDICTION_RULES,
+    _PREDICTION_TAIL, _check_fields, _check_object, _read_jsonl, _rules, read_prediction_rows,
 )
+from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _Checked
 
 if TYPE_CHECKING:
     from .core import AnnotationMatrix
 
-# JSONL line templates: filled with each value's _dumps, a line is json.dumps of its object.
-_ANNOTATION_HEAD = '{"annotator_id": %s, "item_id": '
-_ANNOTATION_TAIL = ', "attribute": %s, "raw_label": %s}\n'
-_PREDICTION_HEAD = '{"item_id": '
-_PREDICTION_TAIL = ', "attribute": %s, "label": %s}\n'
 # json.dumps(text, ensure_ascii=False) of a str: the C function its encoder calls.
 _dumps = json.encoder.encode_basestring
 _CHUNK = 1 << 16  # lines joined per write, so the writers' memory stays bounded
-
-# The writers' line shapes, one match per line. A string slot holds no '"',
-# '\', control character or blank text (\s is what str.strip() strips), so
-# it is what json.loads returns; a null label leaves the slot's group empty.
-_STRING = r'"(?!\s*")([^"\\\x00-\x1f]*)"'
-_ANNOTATION_SHAPE = re.compile(
-    "^" + re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL[:-1]) % ((_STRING,) * 4) + "$", re.M
-)
-_PREDICTION_SHAPE = re.compile(
-    "^" + re.escape(_PREDICTION_HEAD + "%s" + _PREDICTION_TAIL[:-1])
-    % (_STRING, _STRING, f"(?:{_STRING}|null)") + "$", re.M
-)
-_BLOCK = 1 << 14  # bytes; a block's rows live at once: 1 MiB blocks cost ~9 MiB of RSS
 _WEIGHTS_RULES = _rules(
     attribute="a non-empty string", weights="an object", accuracies="an object",
     iterations_run="an integer >= 0", converged="a boolean",
@@ -68,9 +45,7 @@ class PredictionRecord(_Checked):
     item_id: str
     attribute: str
     label: str | None
-    _RULES = _rules(
-        item_id="a non-empty string", attribute="a non-empty string", label="a string or null"
-    )
+    _RULES = _PREDICTION_RULES
 
 
 @dataclass(frozen=True)
@@ -100,57 +75,6 @@ class WeightsReport:
             iterations_run=state.iterations_run,
             converged=state.converged,
         )
-
-
-def _check_object(obj, fields, optional=()) -> None:
-    """Raise ValueError unless ``obj`` is an object with every field of ``fields``
-    (names, or a rule table) and no field outside ``fields`` and ``optional``."""
-    if not isinstance(obj, dict):
-        raise ValueError("expected a JSON object")
-    missing = [f for f in fields if f not in obj]
-    if missing:
-        raise ValueError(f"missing field(s) {', '.join(missing)}")
-    unknown = [k for k in obj if k not in fields and k not in optional]
-    if unknown:
-        raise ValueError(f"unknown field(s) {', '.join(unknown)}")
-
-
-def _read_jsonl(path, make, fields, optional=(), shape=None):
-    """Yield ``make(**obj)`` for each line's object, in file order.
-
-    A line that is not UTF-8, blank or malformed, or a ValueError from
-    ``make``, raises ValueError prefixed ``path:line:``. Lines come in
-    blocks of about ``_BLOCK`` bytes. Given a ``shape`` (block text -> the
-    rows ``make`` would build), a block that decodes and has a row for
-    each line skips the per-line parse.
-    """
-    with open(path, "rb") as fh:
-        first = 1
-        while lines := fh.readlines(_BLOCK):
-            try:
-                rows = shape(b"".join(lines).decode("utf-8")) if shape else ()
-            except UnicodeDecodeError:
-                rows = ()
-            yield from rows if len(rows) == len(lines) else _parse_lines(
-                path, lines, first, make, fields, optional
-            )
-            first += len(lines)
-
-
-def _parse_lines(path, lines, first, make, fields, optional):
-    """The per-line path, numbering ``lines`` from ``first``."""
-    for line_no, line in enumerate(lines, start=first):
-        try:
-            line = line.decode("utf-8")
-            if not line.strip():
-                raise ValueError("blank line")
-            obj = json.loads(line)
-            _check_object(obj, fields, optional)
-            yield make(**obj)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from exc
 
 
 def read_json(path):
@@ -242,13 +166,6 @@ def write_predictions(
 def read_predictions(path) -> list[PredictionRecord]:
     """Read a predictions (or ground-truth) JSONL file, preserving order."""
     return [PredictionRecord(*row) for row in read_prediction_rows(path)]
-
-
-def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
-    """``read_predictions`` as (item_id, attribute, label) tuples."""
-    make = lambda **obj: astuple(PredictionRecord(**obj))  # only on lines the pattern skips
-    shape = lambda text: [(i, a, label or None) for i, a, label in _PREDICTION_SHAPE.findall(text)]
-    return list(_read_jsonl(path, make, PredictionRecord._RULES, (), shape))
 
 
 def read_products(path) -> list[ProductText]:

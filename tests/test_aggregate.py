@@ -22,7 +22,7 @@ from labelvote import (
     update_weights,
     weighted_vote,
 )
-from labelvote.aggregate import _vote
+from labelvote.aggregate import _ballot, _vote
 
 from conftest import make_matrix, random_sparse_rows
 from reference import reference_ensemble
@@ -30,10 +30,9 @@ from reference import reference_ensemble
 
 def vote_all(matrix, weights):
     """The whole-matrix vote kernel under explicit weights."""
+    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, matrix.schema.n_labels)
     voter_weights = np.asarray(weights, dtype=float)[matrix.annotators]
-    return _vote(
-        matrix.items, matrix.labels, voter_weights, matrix.n_items, matrix.schema.n_labels
-    ).tolist()
+    return _vote(ballot, voter_weights).tolist()
 
 
 def scalar_vote(rows, n_labels, item, weights):

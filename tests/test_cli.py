@@ -763,7 +763,7 @@ def test_repeated_product_exits_2_before_any_request(tmp_path, capsys, monkeypat
         (["aggregate", "--input", "MISSING", "--max-iter", "0"],
          "field 'max_iterations' must be an integer >= 1"),
         (["extract", "--products", "MISSING", "--providers", "MISSING",
-          "--max-in-flight", "0"], "max_in_flight must be >= 1"),
+          "--max-in-flight", "0"], "field 'max_in_flight' must be an integer >= 1"),
         (["simulate", "--items", "0", "--workers", "MISSING", "--seed", "1"],
          "field 'n_items' must be an integer >= 1"),
         (["simulate", "--items", "5", "--workers", "MISSING", "--seed", "-1"],
@@ -820,6 +820,18 @@ def run_python_on_src(*args):
     )
 
 
+def test_benchmark_selftest_passes():
+    # perfbench/selftest.py runs each workload at 1/200 size, end to end and traced,
+    # and checks every output, every metric BENCHMARK.json names and the tracer's
+    # patches; about 15 s.
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root, capture_output=True, text=True, timeout=900,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 def test_pipeline_script_passes(tmp_path):
     # scripts/pipeline.sh runs every subcommand through a `labelvote` on PATH,
     # checks the --help and evaluate import budgets and serves a local HTTP stub.
@@ -855,10 +867,10 @@ def test_import_leaves_http_stack_unloaded():
 # The package modules each subcommand loads, beyond labelvote and labelvote.cli.
 SUBCOMMAND_MODULES = {
     "--help": [],
-    "evaluate": ["schema", "storage"],
-    "extract": ["data", "extract", "providers", "schema", "storage"],  # data: the default prompt
-    "aggregate": ["aggregate", "core", "schema", "storage"],
-    "simulate": ["core", "schema", "simulate", "storage"],
+    "evaluate": ["jsonl"],
+    "extract": ["data", "extract", "jsonl", "providers", "schema", "storage"],  # data: the prompt
+    "aggregate": ["aggregate", "core", "jsonl", "schema", "storage"],
+    "simulate": ["core", "jsonl", "schema", "simulate", "storage"],
 }
 
 
@@ -870,6 +882,8 @@ SUBCOMMAND_MODULES = {
 def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcommand, loads_numpy):
     # The console script imports labelvote.cli and calls main, as the probe does.
     # Only labelvote.* names are pinned: which stdlib modules load differs between hosts.
+    # --help and evaluate build no dataclass, so they load dataclasses only where a
+    # bare `import labelvote.cli` does (some hosts' site modules load it).
     annotations = tmp_path / "annotations.jsonl"
     write_annotation_lines(annotations, THREE_BY_FOUR)
     truth = tmp_path / "truth.jsonl"
@@ -899,13 +913,17 @@ def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcomman
         "    code = main(sys.argv[1:])\n"
         "except SystemExit as exc:  # --help exits through argparse\n"
         "    code = exc.code\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'labelvote')))\n"
     )
     result = run_python_on_src("-c", probe, *argv)
     assert result.returncode == 0, result.stderr
     *_, numpy_line, modules_line = result.stdout.splitlines()
-    assert numpy_line == f"0 {loads_numpy}"
+    code, numpy, dataclasses = numpy_line.split()
+    assert (code, numpy) == ("0", str(loads_numpy))
+    if subcommand in ("--help", "evaluate"):
+        bare = "import sys, labelvote.cli; print('dataclasses' in sys.modules)"
+        assert dataclasses == run_python_on_src("-c", bare).stdout.strip()
     expected = ["labelvote", "labelvote.cli"]
     expected += [f"labelvote.{name}" for name in SUBCOMMAND_MODULES[subcommand]]
     assert modules_line.split() == sorted(expected)

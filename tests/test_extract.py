@@ -297,6 +297,14 @@ class TestExtractLabels:
         with pytest.raises(ValueError):
             extract_labels(self.products(1), gender_schema, [])
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, "2", None])
+    def test_in_flight_cap_must_be_an_integer_of_at_least_one(self, gender_schema, cap):
+        provider = MockProvider("m", default_response="male")
+        with pytest.raises(ValueError) as excinfo:
+            extract_labels(self.products(2), gender_schema, [provider], max_in_flight=cap)
+        assert str(excinfo.value) == "field 'max_in_flight' must be an integer >= 1"
+        assert provider.calls == 0
+
 
 class CallLog:
     """Calls shared by several providers: start order and peak concurrency."""
@@ -808,6 +816,30 @@ class TestProviderLoading:
     def test_unexpected_option_rejected(self):
         with pytest.raises(ValueError, match="mock"):
             make_provider({"kind": "mock", "provider_id": "x", "spiciness": 11})
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ({"provider_id": "h1"}, "http provider config: missing field(s) endpoint, model_name"),
+            ({"kind": "http"},
+             "http provider config: missing field(s) provider_id, endpoint, model_name"),
+            ({"kind": "mock"}, "mock provider config: missing field(s) provider_id"),
+            ({"kind": "mock", "provider_id": "m", "calls": 3},
+             "mock provider config: unknown field(s) calls"),
+            ({"kind": "mock", "provider_id": "m", "in_flight": 0, "max_in_flight": 1},
+             "mock provider config: unknown field(s) in_flight, max_in_flight"),
+            ({"provider_id": "h1", "endpoint": "https://x", "model_name": "m", "delay": 1},
+             "http provider config: unknown field(s) delay"),
+            ({"kind": "mock", "provider_id": "m", 5: 1},
+             "mock provider config: unknown field(s) 5"),
+        ],
+        ids=["http no endpoint", "http no id", "mock no id", "mock counter", "mock counters",
+             "http mock option", "mock non-string option"],
+    )
+    def test_missing_and_unknown_options_are_named(self, config, reason):
+        with pytest.raises(ValueError) as excinfo:
+            make_provider(config)
+        assert str(excinfo.value) == f"invalid {reason}"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "providers.json"

@@ -26,7 +26,7 @@ from labelvote import (
     write_predictions,
     write_weights,
 )
-from labelvote import storage
+from labelvote import jsonl, storage
 
 WORDS = ["male", "female", "unisex", "n/a", "none", "köln", "垃圾", "yes no"]
 
@@ -541,9 +541,9 @@ NO_SHAPE = re.compile("(?!)")
 def strict_outcome(read, *args):
     """``read_outcome`` with the whole file as one block and no line pattern:
     the per-line ``json.loads`` path alone."""
-    with mock.patch.multiple(
-        storage, _BLOCK=1 << 30, _ANNOTATION_SHAPE=NO_SHAPE, _PREDICTION_SHAPE=NO_SHAPE
-    ):
+    # Each name is patched where the reader looks it up.
+    with mock.patch.multiple(jsonl, _BLOCK=1 << 30, _PREDICTION_SHAPE=NO_SHAPE), \
+            mock.patch.object(storage, "_ANNOTATION_SHAPE", NO_SHAPE):
         return read_outcome(read, *args)
 
 
@@ -575,9 +575,9 @@ class TestBlocks:
 
     def test_canonical_blocks_skip_the_per_line_parse(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        lines = lines_past(3 * storage._BLOCK)
+        lines = lines_past(3 * jsonl._BLOCK)
         self.write(path, lines)
-        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+        with mock.patch.object(jsonl, "_parse_lines", wraps=jsonl._parse_lines) as slow:
             assert read_annotations(path) == self.expected(lines)
             matrix = read_matrix(path, self.schema)
         assert matrix == build_matrix(self.schema, self.expected(lines))
@@ -585,12 +585,12 @@ class TestBlocks:
 
     def test_malformed_line_in_second_block_names_its_line(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        lines = lines_past(3 * storage._BLOCK)
-        head = lines_past(storage._BLOCK + 1000)
+        lines = lines_past(3 * jsonl._BLOCK)
+        head = lines_past(jsonl._BLOCK + 1000)
         bad = len(head)  # 0-based index of a line well inside the second block
         lines[bad] = '{"annotator_id": oops}\n'
         self.write(path, lines)
-        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+        with mock.patch.object(jsonl, "_parse_lines", wraps=jsonl._parse_lines) as slow:
             outcome = read_outcome(read_annotations, path)
         assert outcome == (ValueError, f"{path}:{bad + 1}: invalid JSON (Expecting value)")
         assert outcome == strict_outcome(read_annotations, path)
@@ -606,14 +606,14 @@ class TestBlocks:
         path = tmp_path / "a.jsonl"
         special = annotation_line(0, label="垃", item="q")
         prefix = len(special.encode("utf-8").split("垃".encode("utf-8"))[0])
-        head = lines_past(storage._BLOCK - prefix + shift - 200, start=1)
-        gap = storage._BLOCK + shift - prefix - len("".join(head).encode("utf-8"))
+        head = lines_past(jsonl._BLOCK - prefix + shift - 200, start=1)
+        gap = jsonl._BLOCK + shift - prefix - len("".join(head).encode("utf-8"))
         pad = annotation_line(0, item="z")
         pad = annotation_line(0, item="z" * (gap - len(pad) + 1))
-        lines = head + [pad, special] + lines_past(2 * storage._BLOCK, start=len(head) + 1)
+        lines = head + [pad, special] + lines_past(2 * jsonl._BLOCK, start=len(head) + 1)
         self.write(path, lines)
         content = "".join(lines).encode("utf-8")
-        assert content.index("垃".encode("utf-8")) == storage._BLOCK + shift
+        assert content.index("垃".encode("utf-8")) == jsonl._BLOCK + shift
         assert read_annotations(path) == self.expected(lines)
         assert read_outcome(read_matrix, path, self.schema) == strict_outcome(
             read_matrix, path, self.schema
@@ -621,7 +621,7 @@ class TestBlocks:
 
     def test_no_final_lf(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        lines = lines_past(2 * storage._BLOCK + 500)
+        lines = lines_past(2 * jsonl._BLOCK + 500)
         lines[-1] = lines[-1].rstrip("\n")
         self.write(path, lines)
         assert read_annotations(path) == self.expected(lines)
@@ -632,9 +632,9 @@ class TestBlocks:
 
     def test_crlf_file_takes_the_per_line_path(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        lines = lines_past(2 * storage._BLOCK + 500)
+        lines = lines_past(2 * jsonl._BLOCK + 500)
         self.write(path, lines, newline="\r\n")
-        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+        with mock.patch.object(jsonl, "_parse_lines", wraps=jsonl._parse_lines) as slow:
             assert read_annotations(path) == self.expected(lines)
         assert slow.call_count >= 3
         lines[-2] = "[]\n"
@@ -645,7 +645,7 @@ class TestBlocks:
 
     def test_bom_file_takes_the_per_line_path(self, tmp_path):
         path = tmp_path / "a.jsonl"
-        lines = lines_past(2 * storage._BLOCK + 500)
+        lines = lines_past(2 * jsonl._BLOCK + 500)
         lines[0] = "\ufeff" + lines[0]
         self.write(path, lines)
         outcome = read_outcome(read_annotations, path)
@@ -672,7 +672,7 @@ class TestBlocks:
                                ensure_ascii=False) + "\n" for row in canonical),
             encoding="utf-8",
         )
-        with mock.patch.object(storage, "_parse_lines", wraps=storage._parse_lines) as slow:
+        with mock.patch.object(jsonl, "_parse_lines", wraps=jsonl._parse_lines) as slow:
             assert read_prediction_rows(path) == canonical
         assert slow.call_count == 0
 
@@ -738,6 +738,6 @@ def jsonl_files(draw, fields):
 def test_fast_reader_matches_the_per_line_path(tmp_path, fields, read, data, block):
     path = tmp_path / "f.jsonl"
     path.write_bytes(data.draw(jsonl_files(fields)))
-    with mock.patch.object(storage, "_BLOCK", block):
+    with mock.patch.object(jsonl, "_BLOCK", block):
         fast = read_outcome(read, path)
     assert fast == strict_outcome(read, path)
