@@ -27,25 +27,19 @@ def _schema_from_args(args):
     Inline flags win over the schema file, with a warning on conflict.
     """
     from . import storage
-    from .schema import AttributeSchema, _check_fields, _rules
+    from .jsonl import _row, _rules
+    from .schema import AttributeSchema
 
     file_attribute = None
     file_labels = None
     if getattr(args, "schema", None):
-        obj = storage.read_json(args.schema)
-        try:
-            rules = _rules(attribute="a non-empty string", labels="an array of strings")
-            storage._check_object(obj, rules)
-            _check_fields(obj, rules)
-        except ValueError as exc:
-            raise ValueError(f"{args.schema}: {exc}") from exc
-        file_attribute = obj["attribute"]
-        file_labels = obj["labels"]
+        rules = _rules(attribute="a non-empty string", labels="an array of strings")
+        file_attribute, file_labels = storage.read_json(args.schema, _row(rules))
 
     labels = None
     if getattr(args, "labels", None):
         labels = [l.strip() for l in args.labels.split(",")]
-        if file_labels is not None and labels != file_labels:
+        if file_labels is not None and labels != [l.strip() for l in file_labels]:
             _warn("--labels overrides the labels in the schema file")
     elif file_labels is not None:
         labels = file_labels
@@ -53,7 +47,7 @@ def _schema_from_args(args):
         raise ValueError("no label set given: pass --labels or --schema")
 
     attribute = getattr(args, "attribute", None)
-    if attribute and file_attribute and attribute != file_attribute:
+    if attribute and file_attribute and attribute.strip() != file_attribute.strip():
         _warn("--attribute overrides the attribute in the schema file")
     attribute = attribute or file_attribute
     if not attribute:
@@ -89,22 +83,23 @@ def _load_workers(path) -> list:
     from . import storage
     from .simulate import WorkerProfile
 
-    entries = storage.read_json(path)
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected a non-empty JSON array of workers")
-    workers = []
-    for n, entry in enumerate(entries, start=1):
-        try:
-            storage._check_object(entry, ("worker_id", "accuracy"), ("missing_rate",))
-            workers.append(WorkerProfile(**entry))
-        except ValueError as exc:
-            raise ValueError(f"{path}: worker #{n}: {exc}") from exc
-    return workers
+    def workers(entries):
+        if not isinstance(entries, list) or not entries:
+            raise ValueError("expected a non-empty JSON array of workers")
+        profiles = []
+        for n, entry in enumerate(entries, start=1):
+            try:
+                profiles.append(WorkerProfile._from_json(entry))
+            except ValueError as exc:
+                raise ValueError(f"worker #{n}: {exc}") from exc
+        return profiles
+
+    return storage.read_json(path, workers)
 
 
 def cmd_simulate(args) -> int:
     from . import storage
-    from .schema import _check_fields
+    from .jsonl import _check_fields
     from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
 
     # SimulationConfig's own checks, made before any file is read.
@@ -188,11 +183,7 @@ def cmd_extract(args) -> int:
                 raise ValueError(f"{args.template}: {exc}") from exc
     synonyms = None
     if args.synonyms:
-        mapping = storage.read_json(args.synonyms)
-        try:
-            synonyms = SynonymMap(mapping, schema)
-        except ValueError as exc:
-            raise ValueError(f"{args.synonyms}: {exc}") from exc
+        synonyms = storage.read_json(args.synonyms, lambda mapping: SynonymMap(mapping, schema))
 
     try:
         records = extract_labels(
@@ -207,11 +198,12 @@ def cmd_extract(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     per_provider = Counter(r.annotator_id for r in records)
+    unresolved = Counter(r.annotator_id for r in records if r.raw_label not in schema.labels)
     for provider in providers:
         succeeded = per_provider.get(provider.provider_id, 0)
         print(
             f"provider {provider.provider_id}: {succeeded}/{len(products)} responses, "
-            f"{len(products) - succeeded} failed",
+            f"{len(products) - succeeded} failed, {unresolved[provider.provider_id]} unresolved",
             file=sys.stderr,
         )
     if not records:

@@ -65,6 +65,16 @@ def _check_object(obj, fields, optional=()) -> None:
         raise ValueError(f"unknown field(s) {', '.join(map(str, unknown))}")
 
 
+def _row(rules: dict):
+    """A reader's ``make`` for an object of exactly the fields of ``rules``: their values."""
+    def make(obj) -> tuple:
+        _check_object(obj, rules)
+        _check_fields(obj, rules)
+        return tuple(obj[name] for name in rules)
+
+    return make
+
+
 # JSONL line templates: filled with each value's json.dumps, a line is json.dumps of its object.
 _ANNOTATION_HEAD = '{"annotator_id": %s, "item_id": '
 _ANNOTATION_TAIL = ', "attribute": %s, "raw_label": %s}\n'
@@ -87,8 +97,8 @@ _PREDICTION_RULES = _rules(item_id="a non-empty string", attribute="a non-empty 
                            label="a string or null")
 
 
-def _read_jsonl(path, make, fields, optional=(), shape=None):
-    """Yield ``make(**obj)`` for each line's object, in file order.
+def _read_jsonl(path, make, shape=None):
+    """Yield ``make(obj)`` for each line's parsed JSON, in file order.
 
     A line that is not UTF-8, blank or malformed, or a ValueError from
     ``make``, raises ValueError prefixed ``path:line:``. Lines come in
@@ -103,35 +113,26 @@ def _read_jsonl(path, make, fields, optional=(), shape=None):
                 rows = shape(b"".join(lines).decode("utf-8")) if shape else ()
             except UnicodeDecodeError:
                 rows = ()
-            yield from rows if len(rows) == len(lines) else _parse_lines(
-                path, lines, first, make, fields, optional
-            )
+            yield from rows if len(rows) == len(lines) else _parse_lines(path, lines, first, make)
             first += len(lines)
 
 
-def _parse_lines(path, lines, first, make, fields, optional):
+def _parse_lines(path, lines, first, make):
     """The per-line path, numbering ``lines`` from ``first``."""
     for line_no, line in enumerate(lines, start=first):
         try:
             line = line.decode("utf-8")
             if not line.strip():
                 raise ValueError("blank line")
-            obj = json.loads(line)
-            _check_object(obj, fields, optional)
-            yield make(**obj)
+            yield make(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
 
 
-def _prediction_row(**obj) -> tuple[str, str, str | None]:
-    _check_fields(obj, _PREDICTION_RULES)
-    return obj["item_id"], obj["attribute"], obj["label"]
-
-
 def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
     """A predictions (or ground-truth) JSONL file as (item_id, attribute, label)
     tuples, checked as ``PredictionRecord`` checks them but building none."""
     shape = lambda text: [(i, a, label or None) for i, a, label in _PREDICTION_SHAPE.findall(text)]
-    return list(_read_jsonl(path, _prediction_row, _PREDICTION_RULES, (), shape))
+    return list(_read_jsonl(path, _row(_PREDICTION_RULES), shape))

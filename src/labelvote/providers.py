@@ -15,11 +15,12 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from .jsonl import _check_fields, _check_object, _rules
+from .jsonl import _check_object, _rules
+from .schema import _Checked
 from .storage import read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
@@ -61,7 +62,7 @@ class Provider:
 
 # eq=False: instances compare and hash by identity, as request_options is a dict.
 @dataclass(frozen=True, eq=False)
-class HttpProvider(Provider):
+class HttpProvider(_Checked, Provider):
     """Adapter for OpenAI-style chat-completion endpoints.
 
     ``credential_ref`` names the environment variable holding the API
@@ -85,7 +86,7 @@ class HttpProvider(Provider):
     )
 
     def __post_init__(self):
-        _check_fields(vars(self), self._RULES)
+        super().__post_init__()
         if not _URL.fullmatch(self.endpoint) or not urlsplit(self.endpoint).hostname:
             raise ValueError("field 'endpoint' must be an http:// or https:// URL in ASCII, "
                              "with no spaces or control characters, naming a host")
@@ -160,7 +161,7 @@ class HttpProvider(Provider):
 
 # eq=False: instances compare and hash by identity, as responses is a dict.
 @dataclass(eq=False)
-class MockProvider(Provider):
+class MockProvider(_Checked, Provider):
     """Deterministic in-process provider for tests and offline runs.
 
     ``responses`` maps a prompt substring to the canned response; the
@@ -189,7 +190,7 @@ class MockProvider(Provider):
 
     def __post_init__(self):
         self.responses = {} if self.responses is None else self.responses
-        _check_fields(vars(self), self._RULES)
+        super().__post_init__()
         self.responses = dict(self.responses)
         self._lock = threading.Lock()
 
@@ -228,9 +229,8 @@ def make_provider(config: Mapping[str, object]) -> Provider:
         raise ValueError(f"unknown provider kind {kind!r}")
     options = {k: v for k, v in config.items() if k != "kind"}
     cls = HttpProvider if kind == "http" else MockProvider
-    required = [f.name for f in fields(cls) if f.default is f.default_factory]  # both MISSING
     try:
-        _check_object(options, required, cls._RULES)  # a rule per constructor argument
+        _check_object(options, cls._required(), cls._RULES)  # a rule per constructor argument
     except ValueError as exc:
         raise ValueError(f"invalid {kind} provider config: {exc}") from exc
     return cls(**options)
@@ -238,14 +238,14 @@ def make_provider(config: Mapping[str, object]) -> Provider:
 
 def load_providers(path) -> list[Provider]:
     """Read a providers file: a JSON array of provider objects."""
-    configs = read_json(path)
+    return read_json(path, _providers)
+
+
+def _providers(configs) -> list[Provider]:
     if not isinstance(configs, list) or not configs:
-        raise ValueError(f"{path}: expected a non-empty JSON array of providers")
-    try:
-        providers = [make_provider(c) for c in configs]
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("expected a non-empty JSON array of providers")
+    providers = [make_provider(c) for c in configs]
     ids = [p.provider_id for p in providers]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"{path}: duplicate provider ids")
+        raise ValueError("duplicate provider ids")
     return providers

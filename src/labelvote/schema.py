@@ -8,11 +8,11 @@ numpy; the annotation matrix lives in ``core``, the field-rule checker in ``json
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
-from .jsonl import _canon, _check_fields, _rules
+from .jsonl import _canon, _check_fields, _check_object, _rules
 
 # An extended label: 0 = missing, 1..L = position in the vocabulary.
 ExtendedLabel = int
@@ -33,12 +33,13 @@ class AttributeSchema:
 
     attribute_name: str
     labels: tuple[str, ...]
+    _RULES = _rules(attribute_name="a non-empty string", labels="an array of strings")
 
     def __init__(self, attribute_name: str, labels: Sequence[str]):
+        labels = labels if isinstance(labels, str) else list(labels)  # one string is no array
+        _check_fields({"attribute_name": attribute_name, "labels": labels}, self._RULES)
         object.__setattr__(self, "attribute_name", attribute_name.strip())
         object.__setattr__(self, "labels", tuple(l.strip() for l in labels))
-        if not self.attribute_name:
-            raise ValueError("attribute_name must be non-empty")
         if len(self.labels) < 2:
             raise ValueError("a schema needs at least 2 labels")
         if any(not l for l in self.labels):
@@ -80,6 +81,16 @@ class _Checked:
 
     def __post_init__(self):
         _check_fields(vars(self), self._RULES)
+
+    @classmethod
+    def _required(cls) -> list[str]:
+        return [f.name for f in fields(cls) if f.default is f.default_factory]  # both MISSING
+
+    @classmethod
+    def _from_json(cls, obj):
+        """Build one from a parsed JSON object, naming a missing or unknown field."""
+        _check_object(obj, cls._required(), cls._RULES)
+        return cls(**obj)
 
 
 @dataclass(frozen=True)

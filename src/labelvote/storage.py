@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .jsonl import (  # noqa: F401  (read_prediction_rows re-exported)
-    _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _PREDICTION_HEAD, _PREDICTION_RULES,
-    _PREDICTION_TAIL, _check_fields, _check_object, _read_jsonl, _rules, read_prediction_rows,
+    _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
+    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _rules, read_prediction_rows,
 )
 from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _Checked
 
@@ -32,10 +32,6 @@ if TYPE_CHECKING:
 # json.dumps(text, ensure_ascii=False) of a str: the C function its encoder calls.
 _dumps = json.encoder.encode_basestring
 _CHUNK = 1 << 16  # lines joined per write, so the writers' memory stays bounded
-_WEIGHTS_RULES = _rules(
-    attribute="a non-empty string", weights="an object", accuracies="an object",
-    iterations_run="an integer >= 0", converged="a boolean",
-)
 
 
 @dataclass(frozen=True)
@@ -49,16 +45,27 @@ class PredictionRecord(_Checked):
 
 
 @dataclass(frozen=True)
-class WeightsReport:
-    """Persisted form of a run's learned weights and accuracy estimates."""
+class WeightsReport(_Checked):
+    """Persisted form of a run's learned weights and accuracy estimates, all finite floats."""
 
     attribute: str
     weights: dict[str, float]
     accuracies: dict[str, float]
     iterations_run: int
     converged: bool
+    _RULES = _rules(
+        attribute="a non-empty string", weights="an object", accuracies="an object",
+        iterations_run="an integer >= 0", converged="a boolean",
+    )
 
     def __post_init__(self):
+        super().__post_init__()
+        for name in ("weights", "accuracies"):
+            values = getattr(self, name)
+            for key, value in values.items():
+                if not _KINDS["a number"](value) or not math.isfinite(value):
+                    raise ValueError(f"{name}[{key!r}] must be a finite number")
+            object.__setattr__(self, name, {k: float(v) for k, v in values.items()})
         if set(self.weights) != set(self.accuracies):
             raise ValueError("weights and accuracies must cover the same annotators")
         for annotator, value in self.accuracies.items():
@@ -77,14 +84,14 @@ class WeightsReport:
         )
 
 
-def read_json(path):
-    """Load a whole JSON document; invalid JSON raises ValueError ``path: reason``."""
+def read_json(path, make=lambda document: document):
+    """``make`` of the JSON document at ``path``; any ValueError reads ``path: reason``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return make(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON ({exc.msg})") from exc
-        except UnicodeDecodeError as exc:
+        except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -105,8 +112,7 @@ def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
 
 
 def _annotation_rows(path):
-    shape = _ANNOTATION_SHAPE.findall
-    return _read_jsonl(path, AnnotationRecord, AnnotationRecord._RULES, (), shape)
+    return _read_jsonl(path, AnnotationRecord._from_json, _ANNOTATION_SHAPE.findall)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
@@ -174,7 +180,7 @@ def read_products(path) -> list[ProductText]:
     A repeated ``item_id`` raises ValueError ``path:line:`` at the repeat.
     """
     products = {}
-    lines = _read_jsonl(path, ProductText, ("item_id", "title"), ("description",))
+    lines = _read_jsonl(path, ProductText._from_json)
     for line_no, product in enumerate(lines, start=1):
         if products.setdefault(product.item_id, product) is not product:
             raise ValueError(f"{path}:{line_no}: duplicate item_id {product.item_id!r}")
@@ -190,16 +196,4 @@ def write_weights(path, report: WeightsReport) -> None:
 
 def read_weights(path) -> WeightsReport:
     """Read a weights report, rejecting any deviation from the schema."""
-    obj = read_json(path)
-    try:
-        _check_object(obj, _WEIGHTS_RULES)
-        _check_fields(obj, _WEIGHTS_RULES)
-        for name in ("weights", "accuracies"):
-            for key, value in obj[name].items():
-                if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                        or not math.isfinite(value)):
-                    raise ValueError(f"{name}[{key!r}] must be a finite number")
-                obj[name][key] = float(value)
-        return WeightsReport(**obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return read_json(path, WeightsReport._from_json)

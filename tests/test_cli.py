@@ -118,6 +118,22 @@ class TestAggregate:
         assert code == 0
         assert "overrides" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--labels", "a,b"], ["--attribute", "attr"]],
+                             ids=["labels", "attribute"])
+    def test_inline_flag_equal_to_schema_file_after_trimming(self, tmp_path, capsys, flags):
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotation_lines(annotations, THREE_BY_FOUR)
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(
+            json.dumps({"attribute": " attr", "labels": [" a", "b "]}), encoding="utf-8"
+        )
+        code = main([
+            "aggregate", "--input", str(annotations), "--schema", str(schema_file),
+            *flags, "--out", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 0
+        assert "overrides" not in capsys.readouterr().err
+
 
 class TestSimulate:
     def run_simulate(self, tmp_path, seed=11, items=2000, name="run"):
@@ -347,6 +363,25 @@ class TestExtract:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert "provider m1: 2/2" in capsys.readouterr().err
+
+    def test_per_provider_line_counts_unresolved_responses(self, tmp_path, capsys):
+        products = tmp_path / "products.jsonl"
+        self.write_products(products)
+        providers = tmp_path / "providers.json"
+        self.write_providers(providers, [
+            {"kind": "mock", "provider_id": "n", "default_response": "The gender is male"},
+            {"kind": "mock", "provider_id": "m", "responses": {"Socks": "Male."},
+             "max_retries": 1},
+        ])
+        code = main([
+            "extract", "--products", str(products), "--attribute", "gender",
+            "--labels", "male,female,unisex", "--providers", str(providers),
+            "--out", str(tmp_path / "out.jsonl"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "provider n: 2/2 responses, 0 failed, 2 unresolved\n" in err
+        assert "provider m: 1/2 responses, 1 failed, 0 unresolved\n" in err
 
     def test_template_file_is_used(self, tmp_path):
         # The mock answers only prompts in the template's own wording.

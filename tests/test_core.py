@@ -61,6 +61,25 @@ class TestAttributeSchema:
         schema = AttributeSchema("gender", [" Male ", "Female"])
         assert schema.labels == ("Male", "Female")
 
+    def test_takes_any_sequence_of_labels(self):
+        assert AttributeSchema("g", ("a", "b")).labels == ("a", "b")
+        assert AttributeSchema("g", (l for l in "ab")).labels == ("a", "b")
+
+    @pytest.mark.parametrize(
+        "name, labels, reason",
+        [
+            (5, ["a", "b"], "field 'attribute_name' must be a non-empty string"),
+            (" ", ["a", "b"], "field 'attribute_name' must be a non-empty string"),
+            ("g", "ab", "field 'labels' must be an array of strings"),
+            ("g", ["a", 5], "field 'labels' must be an array of strings"),
+        ],
+        ids=["non-string name", "blank name", "one string as labels", "non-string label"],
+    )
+    def test_rejects_wrongly_typed_arguments(self, name, labels, reason):
+        with pytest.raises(ValueError) as excinfo:
+            AttributeSchema(name, labels)
+        assert str(excinfo.value) == reason
+
 
 class TestBuildMatrix:
     def test_dense_case(self, gender_schema):

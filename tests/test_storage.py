@@ -1,6 +1,7 @@
 """Interchange file round-trips and reader strictness."""
 
 import json
+import math
 import random
 import re
 from unittest import mock
@@ -379,6 +380,65 @@ def test_weights_reader_names_the_file(tmp_path, text, reason):
     with pytest.raises(ValueError) as excinfo:
         read_weights(path)
     assert str(excinfo.value) == f"{path}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"weights": {"a": float("nan")}}, "weights['a'] must be a finite number"),
+        ({"weights": {"a": float("inf")}}, "weights['a'] must be a finite number"),
+        ({"accuracies": {"a": float("-inf")}}, "accuracies['a'] must be a finite number"),
+        ({"weights": {"a": True}}, "weights['a'] must be a finite number"),
+        ({"iterations_run": True}, "field 'iterations_run' must be an integer >= 0"),
+        ({"iterations_run": 2.5}, "field 'iterations_run' must be an integer >= 0"),
+        ({"iterations_run": -1}, "field 'iterations_run' must be an integer >= 0"),
+        ({"converged": 1}, "field 'converged' must be a boolean"),
+    ],
+    ids=["NaN weight", "infinite weight", "negative infinite accuracy", "boolean weight",
+         "boolean iterations", "fractional iterations", "negative iterations",
+         "integer converged"],
+)
+def test_weights_report_rejects_what_its_reader_rejects(tmp_path, fields, reason):
+    # The report, not its reader, owns these rules, so what it holds can be written
+    # and read back: write_weights never gets a NaN to emit.
+    valid = json.loads(weights_with())
+    with pytest.raises(ValueError) as excinfo:
+        WeightsReport(**{**valid, **fields})
+    assert str(excinfo.value) == reason
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({**valid, **fields}), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        read_weights(path)
+    assert str(excinfo.value) == f"{path}: {reason}"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weight=st.floats(), accuracy=st.floats())
+def test_write_weights_never_emits_nan(tmp_path, weight, accuracy):
+    try:
+        report = WeightsReport("g", {"a": weight}, {"a": accuracy}, iterations_run=1,
+                               converged=True)
+    except ValueError:
+        assert not (math.isfinite(weight) and 0 <= accuracy <= 1)
+        return
+    path = tmp_path / "w.json"
+    write_weights(path, report)
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} written")
+
+    json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+    assert read_weights(path) == report
+
+
+def test_weights_report_stores_floats(tmp_path):
+    report = WeightsReport("g", {"a": 1}, {"a": 0}, iterations_run=1, converged=True)
+    assert (type(report.weights["a"]), type(report.accuracies["a"])) == (float, float)
+    path = tmp_path / "w.json"
+    write_weights(path, report)
+    assert read_weights(path) == report
+    assert '"a": 1.0' in path.read_text(encoding="utf-8")
 
 
 def test_weights_reader_names_a_file_that_is_not_utf8(tmp_path):
