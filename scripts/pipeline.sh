@@ -3,7 +3,8 @@
 # votes, and score the consensus against the generated ground truth.
 # Check that the installed package runs --help with no package module but
 # its command-line one, and --help and evaluate without numpy; evaluate
-# loads the JSONL reader but not the records of storage and schema.
+# loads the JSONL reader but not the records of storage and schema, and
+# aggregate does not load numpy.ma.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
@@ -49,6 +50,10 @@ imports_none_of() {
 }
 imports_none_of 'numpy|labelvote\.(jsonl|storage|schema|extract|providers)' --help
 imports_none_of 'numpy|labelvote\.(storage|schema)' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+# aggregate reads the 20k annotations column-wise in numpy. It interns ids with
+# argsort, not np.unique, whose byte-string path imports numpy.ma: some 20 ms
+# of a run that loads nothing else of it.
+imports_none_of 'numpy\.ma' aggregate --input "$out/annotations.jsonl" --attribute attr --labels low,mid,high --out "$out/importtime-predictions.jsonl"
 
 cat > "$out/products.jsonl" <<'EOF'
 {"item_id": "sku-1", "title": "Garanimals Toddler Girl Short Sleeve Graphic T-Shirt"}

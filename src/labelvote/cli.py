@@ -34,7 +34,14 @@ def _schema_from_args(args):
     file_labels = None
     if getattr(args, "schema", None):
         rules = _rules(attribute="a non-empty string", labels="an array of strings")
-        file_attribute, file_labels = storage.read_json(args.schema, _row(rules))
+
+        def schema_file(document):
+            attribute, labels = _row(rules)(document)
+            if not getattr(args, "labels", None):  # the run uses these labels: name the file
+                AttributeSchema(attribute, labels)
+            return attribute, labels
+
+        file_attribute, file_labels = storage.read_json(args.schema, schema_file)
 
     labels = None
     if getattr(args, "labels", None):

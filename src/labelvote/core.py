@@ -1,20 +1,26 @@
-"""The sparse annotation matrix over one attribute, and its builder.
+"""The sparse annotation matrix over one attribute, and its builders.
 
 The matrix stores only the non-missing entries, as three parallel int
 arrays (annotator index, item index, label) sorted item-major; a pair
-absent from the arrays is 0, the missing label. The numpy-free schema,
-label encoding and records live in ``schema`` and are re-exported here.
+absent from the arrays is 0, the missing label. ``build_matrix`` builds
+one from records or rows, one at a time; ``_read_canonical`` builds the
+same matrix from an annotation file whose every line has the writers'
+exact shape, column-wise in numpy. The numpy-free schema, label encoding
+and records live in ``schema`` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL
 from .schema import (  # noqa: F401  (re-exported)
     AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, ProductText, _canon,
     decode_label, encode_label)
@@ -73,15 +79,7 @@ class AnnotationMatrix:
                 f"entry ({annotators[k]}, {items[k]}) = {labels[k]} is outside "
                 f"{n} annotators x {p} items x labels 1..{n_labels}"
             )
-        # A stable sort keeps a pair's repeats in input order, so the first
-        # entry of each run of equal keys is the pair's first entry.
-        keys = items * n + annotators
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        del keys
+        order, first = _runs(items * n + annotators)
         if not first.all():
             earlier = np.empty_like(labels)
             earlier[order] = labels[order[first]][np.cumsum(first) - 1]
@@ -172,11 +170,12 @@ def build_matrix(
     """Assemble an annotation matrix from records for one attribute.
 
     A record may also be an (annotator_id, item_id, attribute, raw_label)
-    tuple, as ``storage.read_matrix`` streams them. Annotator and item
-    orderings are first-appearance order among records that carry an
-    in-vocabulary label. Records whose raw_label encodes to
-    missing contribute nothing at all (not even id registration), so an
-    out-of-vocabulary record is indistinguishable from an omitted one.
+    tuple, as ``storage.read_matrix`` streams them from a file that
+    ``_read_canonical`` declines. Annotator and item orderings are
+    first-appearance order among records that carry an in-vocabulary
+    label. Records whose raw_label encodes to missing contribute nothing
+    at all (not even id registration), so an out-of-vocabulary record is
+    indistinguishable from an omitted one.
     Agreeing duplicates of an (annotator, item) pair collapse to one entry.
 
     Raises ConflictError when the same (annotator, item) pair carries two
@@ -214,3 +213,142 @@ def build_matrix(
     return AnnotationMatrix(
         schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
     )
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``keys``, and which sorted positions start a run
+    of equal keys. A stable sort keeps repeats in input order, so the first
+    position of each run holds that key's first appearance."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return order, first
+
+
+def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of ``column`` in first-appearance order:
+    (each entry's number, the distinct values in that order)."""
+    order, first = _runs(column)
+    firsts = order[first]  # each distinct value's first position, by value
+    by_appearance = np.argsort(firsts)
+    numbers = np.empty(len(firsts), dtype=np.intp)
+    numbers[by_appearance] = np.arange(len(firsts))
+    codes = np.empty(len(column), dtype=np.intp)
+    codes[order] = numbers[np.cumsum(first) - 1]
+    return codes, column[firsts[by_appearance]]
+
+
+# A canonical annotation line: the writers' shape, with no '"', '\' or control
+# character in a value. A value's bytes are then its text in UTF-8, each line
+# holds 16 quotes, and NUL pads a value to a fixed width unambiguously.
+_VALUE = rb'"[^"\\\x00-\x1f]*"'
+_CANONICAL = re.compile(
+    b"(?:%s)*" % (re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL).encode() % ((_VALUE,) * 4))
+)
+_COLUMN_BLOCK = 1 << 20  # bytes read at a time, cut at the last LF
+_SPREAD = 4  # a fixed-width column may take at most this many times the bytes it came from
+
+
+class _NotCanonical(Exception):
+    """The file needs the per-row path: ``build_matrix`` over its parsed lines."""
+
+
+def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
+    """``build_matrix`` of the annotation file at ``path``, read column-wise, or
+    None unless every line is canonical, and no value is blank, not UTF-8 or
+    of another attribute: for such a file the per-row path reads the same
+    rows, and raises the errors. Outside its values a canonical line is
+    ASCII, and every value is decoded or equals the schema's attribute, so
+    the file is UTF-8 when they are."""
+    label_codes: dict[bytes, ExtendedLabel] = {}
+    columns: tuple[list, list, list] = ([], [], [])  # annotators, items, labels of kept rows
+    size = 0
+    try:
+        with open(path, "rb") as fh:
+            for block in _blocks(fh):
+                size += len(block)
+                for parts, column in zip(columns, _block_columns(block, schema, label_codes)):
+                    parts.append(column)
+        annotators, annotator_ids = _intern_ids(columns[0], size)
+        items, item_ids = _intern_ids(columns[1], size)
+    except (_NotCanonical, UnicodeDecodeError):
+        return None
+    labels = np.concatenate(columns[2]) if columns[2] else ()
+    return AnnotationMatrix(schema, annotator_ids, item_ids, (annotators, items, labels))
+
+
+def _blocks(fh):
+    """The file's bytes in blocks of about ``_COLUMN_BLOCK``, each ending at an
+    LF but the last, which holds any unterminated line."""
+    rest = b""
+    while chunk := fh.read(_COLUMN_BLOCK):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _block_columns(block: bytes, schema: AttributeSchema, label_codes: dict):
+    """The annotator, item and label columns of one block's in-vocabulary rows:
+    the ids as fixed-width bytes, the labels encoded. ``label_codes`` caches
+    each raw label's code across blocks."""
+    if not _CANONICAL.fullmatch(block):
+        raise _NotCanonical
+    buf = np.frombuffer(block, dtype=np.uint8)
+    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 16)
+    starts = quotes[:, 2::4] + 1  # each value's first byte, one column per field
+    lengths = quotes[:, 3::4] - starts
+    widths = lengths.max(axis=0, initial=1)
+    widest = widths.max()
+    if len(quotes) * widest > _SPREAD * len(block):
+        raise _NotCanonical
+    # Row k of the windows is the widest value's width of bytes from byte k.
+    windows = sliding_window_view(np.append(buf, np.zeros(widest, np.uint8)), widest)
+
+    def column(field):
+        values = windows[starts[:, field], : widths[field]]
+        values[np.arange(widths[field]) >= lengths[:, field, None]] = 0
+        return values.view(f"S{widths[field]}").ravel()
+
+    if not (column(2) == schema.attribute_name.encode()).all():
+        raise _NotCanonical
+    raw, distinct = _intern(column(3))
+    distinct = distinct.tolist()
+    new = [label for label in distinct if label not in label_codes]
+    label_codes.update(zip(new, (encode_label(schema, text) for text in _texts(new))))
+    codes = np.array([label_codes[l] for l in distinct], np.min_scalar_type(schema.n_labels))
+    labels = codes[raw]
+    keep = labels > 0
+    del raw
+    ids = []
+    for field in (0, 1):
+        values = column(field)
+        _texts(set(values[~keep].tolist()))
+        ids.append(values[keep])
+        del values
+    return *ids, labels[keep]
+
+
+def _intern_ids(parts: list, size: int) -> tuple[np.ndarray, list[str]]:
+    """Number the ids of the blocks' columns ``parts`` (emptied here) in
+    first-appearance order: (each row's number, the ids in that order)."""
+    rows, width = sum(map(len, parts)), max((p.itemsize for p in parts), default=1)
+    if rows * width > _SPREAD * size:
+        raise _NotCanonical
+    column = np.concatenate(parts) if parts else np.empty(0, dtype="S1")
+    parts.clear()
+    codes, distinct = _intern(column)
+    return codes, _texts(distinct.tolist())
+
+
+def _texts(values) -> list[str]:
+    """The texts of UTF-8 values; a blank one needs the per-row path."""
+    texts = [value.decode("utf-8") for value in values]
+    if not all(map(str.strip, texts)):
+        raise _NotCanonical
+    return texts

@@ -9,7 +9,7 @@ numpy; the annotation matrix lives in ``core``, the field-rule checker in ``json
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .jsonl import _canon, _check_fields, _check_object, _rules
@@ -83,8 +83,9 @@ class _Checked:
         _check_fields(vars(self), self._RULES)
 
     @classmethod
-    def _required(cls) -> list[str]:
-        return [f.name for f in fields(cls) if f.default is f.default_factory]  # both MISSING
+    @cache  # per class: the fields of a dataclass do not change
+    def _required(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls) if f.default is f.default_factory)  # both MISSING
 
     @classmethod
     def _from_json(cls, obj):

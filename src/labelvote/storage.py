@@ -5,7 +5,9 @@ UTF-8, LF); a weights report is a single JSON document, and so are the
 schema, workers, providers and synonyms files, which go through
 ``read_json``. Readers are strict: unknown fields, missing fields, and
 wrong types are errors, never coerced. The JSONL reader lives in ``jsonl``.
-Only ``read_matrix`` loads numpy, by importing ``core`` when called.
+Only ``read_matrix`` loads numpy, by importing ``core`` when called: it
+reads a file of canonical lines (the writers' exact shape) column-wise
+there, and any other file row by row, to the same matrix and errors.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
 and floats survive a write/read cycle exactly. ``write_matrix`` writes
@@ -105,10 +107,16 @@ def read_annotations(path) -> list[AnnotationRecord]:
 
 
 def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
-    """``build_matrix(schema, read_annotations(path))`` without the records."""
-    from .core import build_matrix
+    """``build_matrix(schema, read_annotations(path))`` without the records.
 
-    return build_matrix(schema, _annotation_rows(path))
+    A file in the writers' exact line shape is read column-wise in numpy;
+    any other file, or one that reader declines, goes row by row through
+    ``build_matrix``, which reads the same matrix and raises every error.
+    """
+    from .core import _read_canonical, build_matrix
+
+    matrix = _read_canonical(path, schema)
+    return build_matrix(schema, _annotation_rows(path)) if matrix is None else matrix
 
 
 def _annotation_rows(path):

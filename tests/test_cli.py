@@ -118,6 +118,28 @@ class TestAggregate:
         assert code == 0
         assert "overrides" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "labels, reason",
+        [(["a", " "], "label names must be non-empty"),
+         (["a", "A "], "label names must be distinct after trimming and case-folding"),
+         (["a"], "a schema needs at least 2 labels")],
+        ids=["blank", "case-folded", "one"],
+    )
+    def test_schema_file_labels_are_named_by_the_file(self, tmp_path, capsys, labels, reason):
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotation_lines(annotations, THREE_BY_FOUR)
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(json.dumps({"attribute": "g", "labels": labels}), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        argv = ["aggregate", "--input", str(annotations), "--schema", str(schema_file),
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: {schema_file}: {reason}\n" in capsys.readouterr().err
+        assert not out.exists()
+        # Labels given inline still override the file's, with a warning.
+        assert main([*argv, "--attribute", "attr", "--labels", "a,b"]) == 0
+        assert "--labels overrides" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--labels", "a,b"], ["--attribute", "attr"]],
                              ids=["labels", "attribute"])
     def test_inline_flag_equal_to_schema_file_after_trimming(self, tmp_path, capsys, flags):

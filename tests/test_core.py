@@ -1,6 +1,7 @@
 """Label encoding and annotation-matrix construction."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from labelvote import (
     decode_label,
     encode_label,
 )
+from labelvote import schema as schema_module
 
 
 def rec(annotator, item, label, attribute="gender"):
@@ -303,3 +305,14 @@ class TestProductText:
     def test_rejects_non_string_or_blank_text(self, fields):
         with pytest.raises(ValueError, match="must be a non-empty string"):
             ProductText(*fields)
+
+
+def test_required_fields_are_listed_once_per_class():
+    assert AnnotationRecord._required() == ("annotator_id", "item_id", "attribute", "raw_label")
+    assert ProductText._required() == ("item_id", "title")
+    row = dict(zip(AnnotationRecord._required(), ("a1", "p1", "g", "x")))
+    with mock.patch.object(schema_module, "fields", side_effect=AssertionError):
+        assert AnnotationRecord._from_json(row) == AnnotationRecord("a1", "p1", "g", "x")
+        assert ProductText._from_json({"item_id": "p1", "title": "Socks"}).description == ""
+        with pytest.raises(ValueError, match="^missing field\\(s\\) title$"):
+            ProductText._from_json({"item_id": "p1"})

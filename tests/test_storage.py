@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -13,6 +14,7 @@ from labelvote import (
     AnnotationMatrix,
     AnnotationRecord,
     AttributeSchema,
+    ConflictError,
     PredictionRecord,
     WeightsReport,
     build_matrix,
@@ -27,7 +29,7 @@ from labelvote import (
     write_predictions,
     write_weights,
 )
-from labelvote import jsonl, storage
+from labelvote import core, jsonl, storage
 
 WORDS = ["male", "female", "unisex", "n/a", "none", "köln", "垃圾", "yes no"]
 
@@ -801,3 +803,125 @@ def test_fast_reader_matches_the_per_line_path(tmp_path, fields, read, data, blo
     with mock.patch.object(jsonl, "_BLOCK", block):
         fast = read_outcome(read, path)
     assert fast == strict_outcome(read, path)
+
+
+
+# Ids and labels a canonical line can carry (non-ASCII, U+2028, "%"), and values
+# that make a line non-canonical: raw blank text (as str.strip() sees it), and
+# text json.dumps escapes, such as NUL, a quote or a backslash.
+COLUMN_ANNOTATORS = ["a1", "a2", "köln", "垃圾"]
+COLUMN_ITEMS = ["p1", "p2", "p3", "é", "line\u2028sep", "%s"]
+COLUMN_LABELS = ["x", "Y", " z", "X ", "垃"]
+OUT_OF_VOCABULARY = ["w", "kid", "垃圾"]
+ODD_VALUES = ["", " ", "\u3000", "\x85", "\x00", 'say "hi"', "back\\slash", "tab\t"]
+COLUMN_SCHEMA = AttributeSchema("g", ["x", "y", "Z", "垃"])
+
+
+@st.composite
+def annotation_files(draw):
+    """Bytes of an annotation file of mostly canonical lines: out-of-vocabulary
+    labels on the first lines, agreeing repeats and conflicts, maybe a conflict
+    followed by another attribute, and a share of lines that are not canonical
+    (another attribute, an odd value, ASCII escapes, CRLF)."""
+    share = draw(st.sampled_from([0, 0, 0, 0.05, 0.2]))
+    labels = [OUT_OF_VOCABULARY] * draw(st.integers(0, 3))
+    labels += [COLUMN_LABELS + OUT_OF_VOCABULARY] * draw(st.integers(0, 14))
+    lines = []
+    for choices in labels:
+        row = {"annotator_id": draw(st.sampled_from(COLUMN_ANNOTATORS)),
+               "item_id": draw(st.sampled_from(COLUMN_ITEMS)),
+               "attribute": "g", "raw_label": draw(st.sampled_from(choices))}
+        change = draw(st.sampled_from(["value", "attribute", "ascii", "crlf"])) if (
+            draw(st.floats(0, 1)) < share) else None
+        if change == "value":
+            row[draw(st.sampled_from(FIELDS))] = draw(st.sampled_from(ODD_VALUES))
+        elif change == "attribute":
+            row["attribute"] = "h"
+        line = json.dumps(row, ensure_ascii=change == "ascii")
+        lines.append(line + ("\r\n" if change == "crlf" else "\n"))
+    if draw(st.integers(0, 3)) == 3:
+        pair = {"annotator_id": "a1", "item_id": "p1"}
+        lines += [json.dumps({**pair, "attribute": attribute, "raw_label": label}) + "\n"
+                  for attribute, label in (("g", "x"), ("g", "Y"), ("h", "x"))]
+    text = "".join(lines).encode("utf-8")
+    return text.removesuffix(b"\n") if draw(st.integers(0, 3)) == 3 else text
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(content=annotation_files(), block=st.integers(1, 300))
+def test_column_reader_matches_the_records_path(tmp_path, content, block):
+    path = tmp_path / "a.jsonl"
+    path.write_bytes(content)
+    # Small blocks put an id's first appearance and its repeats in different blocks.
+    with mock.patch.object(core, "_COLUMN_BLOCK", block):
+        fused, staged = fused_and_staged(path, COLUMN_SCHEMA)
+    assert fused == staged
+
+
+class TestColumnReader:
+    def rows(self):
+        rows = [(f"a{n % 3}", f"p{n}", "g", "kid") for n in range(5)]  # out of vocabulary
+        # Each pair repeats every 100 rows, in another spelling of its label.
+        rows += [(f"a{n % 4}", f"p{n % 50}", "g", ["x", "Y ", " Z"][n % 50 % 3].upper()
+                  if n % 200 >= 100 else ["x", "Y ", " Z"][n % 50 % 3]) for n in range(600)]
+        rows += [("köln", "垃圾", "g", " 垃 "), ("köln", "垃圾", "g", "垃")]
+        return [AnnotationRecord(*row) for row in rows]
+
+    @pytest.mark.parametrize("newline, row_reads", [("\n", 0), ("\r\n", 1)], ids=["LF", "CRLF"])
+    def test_only_a_file_that_is_not_canonical_takes_the_row_path(
+        self, tmp_path, newline, row_reads
+    ):
+        path = tmp_path / "a.jsonl"
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.writelines(json.dumps(dict(zip(FIELDS, r)), ensure_ascii=False) + "\n"
+                          for r in self.rows())
+        with mock.patch.object(core, "_COLUMN_BLOCK", 1000), \
+                mock.patch.object(storage, "_annotation_rows", wraps=storage._annotation_rows) as rows:
+            matrix = read_matrix(path, COLUMN_SCHEMA)
+        assert rows.call_count == row_reads
+        assert matrix == build_matrix(COLUMN_SCHEMA, self.rows())
+        assert matrix.annotator_ids == ("a0", "a1", "a2", "a3", "köln")
+        assert matrix.item_ids[:2] == ("p0", "p1")
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("label", [b"x", b"kid"], ids=["kept", "dropped"])
+    def test_value_that_is_not_utf8_takes_the_row_path(self, tmp_path, field, label):
+        path = tmp_path / "a.jsonl"
+        write_annotations(path, self.rows())
+        values = [b"a1", b"p1", b"g", label]
+        values[field] = "垃".encode("utf-8")[:2]  # a character cut short
+        line = b'{"annotator_id": "%s", "item_id": "%s", "attribute": "%s", "raw_label": "%s"}\n'
+        path.write_bytes(path.read_bytes() + line % tuple(values))
+        fused, staged = fused_and_staged(path, COLUMN_SCHEMA)
+        assert fused == staged
+        assert fused[1].startswith(f"{path}:{len(self.rows()) + 1}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("block", [1, 1 << 20], ids=["line blocks", "one block"])
+    def test_long_id_takes_the_row_path(self, tmp_path, block):
+        """A fixed-width column of many short ids and a long one would take many
+        times the file's bytes: one block's, or the whole file's."""
+        records = [*self.rows(), AnnotationRecord("a1", "p" * 100_000, "g", "x")]
+        path = tmp_path / "a.jsonl"
+        write_annotations(path, records)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(core, "_COLUMN_BLOCK", block), mock.patch.object(
+                storage, "_annotation_rows", wraps=storage._annotation_rows
+            ) as rows:
+                matrix = read_matrix(path, COLUMN_SCHEMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.call_count == 1
+        assert peak < 20 * path.stat().st_size  # a copy of the long id per row: 400 times
+        assert matrix == build_matrix(COLUMN_SCHEMA, records)
+
+    def test_conflict_in_a_canonical_file_is_raised_column_wise(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        write_annotations(path, [*self.rows(), AnnotationRecord("a1", "p1", "g", "x")])
+        with mock.patch.object(storage, "_annotation_rows", side_effect=AssertionError):
+            outcome = read_outcome(read_matrix, path, COLUMN_SCHEMA)
+        assert outcome == read_outcome(lambda: build_matrix(COLUMN_SCHEMA, read_annotations(path)))
+        assert outcome[0] is ConflictError
