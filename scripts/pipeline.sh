@@ -1,6 +1,8 @@
 #!/bin/sh
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
+# Check that the annotations in reverse, read column-wise, aggregate to the
+# same files as a CRLF copy of them, read row by row.
 # Check that the installed package runs --help with no package module but
 # its command-line one, and --help and evaluate without numpy; evaluate
 # loads the JSONL reader but not the records of storage and schema, and
@@ -29,6 +31,21 @@ EOF
 labelvote simulate --items 20000 --labels low,mid,high --workers "$out/workers.json" --seed 1 --out "$out/annotations.jsonl" --truth-out "$out/truth.jsonl"
 labelvote aggregate --input "$out/annotations.jsonl" --attribute attr --labels low,mid,high --out "$out/predictions.jsonl" --weights-out "$out/weights.json"
 labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+
+# aggregate reads a canonical file column-wise, and a CRLF copy of it row by
+# row: both must write the same predictions and weights. The lines go in
+# reverse, so that no id's order by value is its order of first appearance.
+tac "$out/annotations.jsonl" > "$out/reversed.jsonl"
+awk '{ printf "%s\r\n", $0 }' "$out/reversed.jsonl" > "$out/reversed-crlf.jsonl"
+for copy in reversed reversed-crlf; do
+  labelvote aggregate --input "$out/$copy.jsonl" --attribute attr --labels low,mid,high --out "$out/$copy-predictions.jsonl" --weights-out "$out/$copy-weights.json"
+done
+for file in predictions.jsonl weights.json; do
+  cmp "$out/reversed-$file" "$out/reversed-crlf-$file" || {
+    echo "pipeline: the row path and the column path wrote different $file" >&2
+    exit 1
+  }
+done
 
 # Each subcommand imports its own modules when it runs: --help needs none
 # but labelvote.cli, and only simulate and aggregate use numpy, which takes

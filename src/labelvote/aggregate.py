@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AnnotationMatrix, ExtendedLabel
-from .schema import _Checked, _rules
+from .core import AnnotationMatrix
+from .schema import ExtendedLabel, _Checked, _rules
 
 IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
 

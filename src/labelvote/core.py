@@ -6,7 +6,7 @@ absent from the arrays is 0, the missing label. ``build_matrix`` builds
 one from records or rows, one at a time; ``_read_canonical`` builds the
 same matrix from an annotation file whose every line has the writers'
 exact shape, column-wise in numpy. The numpy-free schema, label encoding
-and records live in ``schema`` and are re-exported here.
+and records live in ``schema``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL
-from .schema import (  # noqa: F401  (re-exported)
-    AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, ProductText, _canon,
-    decode_label, encode_label)
+from .schema import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,18 +128,15 @@ class AnnotationMatrix:
     @cached_property
     def by_item(self) -> tuple[tuple[tuple[int, ExtendedLabel], ...], ...]:
         """Per-item vote lists: by_item[j] = ((annotator index, label), ...)."""
-        return self._grouped(self.items, self.n_items, self.annotators)
+        pairs = list(zip(self.annotators.tolist(), self.labels.tolist()))  # stored order
+        ends = np.cumsum(np.bincount(self.items, minlength=self.n_items)).tolist()
+        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip([0, *ends], ends))
 
     @cached_property
     def by_annotator(self) -> tuple[tuple[tuple[int, ExtendedLabel], ...], ...]:
         """Per-annotator label lists: by_annotator[i] = ((item index, label), ...)."""
-        return self._grouped(self.annotators, self.n_annotators, self.items)
-
-    def _grouped(self, major, size, minor):
-        order = np.lexsort((minor, major))
-        pairs = list(zip(minor[order].tolist(), self.labels[order].tolist()))
-        ends = np.cumsum(np.bincount(major, minlength=size)).tolist()
-        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends))
+        runs = self._annotator_runs()
+        return tuple(tuple(zip(items.tolist(), labels.tolist())) for _, items, labels in runs)
 
     def to_records(self) -> list[AnnotationRecord]:
         """Decode stored entries back to records, annotator-major order."""
@@ -262,15 +257,13 @@ def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
     rows, and raises the errors. Outside its values a canonical line is
     ASCII, and every value is decoded or equals the schema's attribute, so
     the file is UTF-8 when they are."""
-    label_codes: dict[bytes, ExtendedLabel] = {}
     columns: tuple[list, list, list] = ([], [], [])  # annotators, items, labels of kept rows
-    size = 0
     try:
         with open(path, "rb") as fh:
             for block in _blocks(fh):
-                size += len(block)
-                for parts, column in zip(columns, _block_columns(block, schema, label_codes)):
+                for parts, column in zip(columns, _block_columns(block, schema)):
                     parts.append(column)
+            size = fh.tell()
         annotators, annotator_ids = _intern_ids(columns[0], size)
         items, item_ids = _intern_ids(columns[1], size)
     except (_NotCanonical, UnicodeDecodeError):
@@ -282,21 +275,20 @@ def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
 def _blocks(fh):
     """The file's bytes in blocks of about ``_COLUMN_BLOCK``, each ending at an
     LF but the last, which holds any unterminated line."""
-    rest = b""
+    rest = bytearray()  # grown in place: a long line costs no copy per chunk
     while chunk := fh.read(_COLUMN_BLOCK):
         rest += chunk
-        cut = rest.rfind(b"\n") + 1
+        cut = rest.rfind(b"\n", len(rest) - len(chunk)) + 1
         if cut:
             yield rest[:cut]
-            rest = rest[cut:]
+            del rest[:cut]
     if rest:
         yield rest
 
 
-def _block_columns(block: bytes, schema: AttributeSchema, label_codes: dict):
+def _block_columns(block: bytearray, schema: AttributeSchema):
     """The annotator, item and label columns of one block's in-vocabulary rows:
-    the ids as fixed-width bytes, the labels encoded. ``label_codes`` caches
-    each raw label's code across blocks."""
+    the ids as fixed-width bytes, the labels encoded."""
     if not _CANONICAL.fullmatch(block):
         raise _NotCanonical
     buf = np.frombuffer(block, dtype=np.uint8)
@@ -318,11 +310,8 @@ def _block_columns(block: bytes, schema: AttributeSchema, label_codes: dict):
     if not (column(2) == schema.attribute_name.encode()).all():
         raise _NotCanonical
     raw, distinct = _intern(column(3))
-    distinct = distinct.tolist()
-    new = [label for label in distinct if label not in label_codes]
-    label_codes.update(zip(new, (encode_label(schema, text) for text in _texts(new))))
-    codes = np.array([label_codes[l] for l in distinct], np.min_scalar_type(schema.n_labels))
-    labels = codes[raw]
+    codes = [encode_label(schema, text) for text in _texts(distinct.tolist())]
+    labels = np.array(codes, np.min_scalar_type(schema.n_labels))[raw]
     keep = labels > 0
     del raw
     ids = []

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnnotationMatrix, AttributeSchema, ExtendedLabel
-from .schema import _Checked, _rules
+from .core import AnnotationMatrix
+from .schema import AttributeSchema, ExtendedLabel, _Checked, _rules
 
 
 @dataclass(frozen=True)

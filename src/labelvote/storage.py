@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .jsonl import (  # noqa: F401  (read_prediction_rows re-exported)
     _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
-    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _rules, read_prediction_rows,
+    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _row, _rules, read_prediction_rows,
 )
 from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _Checked
 
@@ -120,7 +120,8 @@ def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
 
 
 def _annotation_rows(path):
-    return _read_jsonl(path, AnnotationRecord._from_json, _ANNOTATION_SHAPE.findall)
+    """The file's rows as tuples, checked as ``AnnotationRecord`` checks them."""
+    return _read_jsonl(path, _row(AnnotationRecord._RULES), _ANNOTATION_SHAPE.findall)
 
 
 def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:

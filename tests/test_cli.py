@@ -1016,8 +1016,7 @@ def test_package_exports_resolve_to_their_defining_modules(monkeypatch):
     for name, module in expected.items():
         defined = getattr(sys.modules[f"labelvote.{module}"], name)
         assert namespace[name] is defined, name
-        if module == "schema":  # moved out of core, which still re-exports it
-            assert getattr(core, name) is defined, name
+    assert not {"ProductText", "decode_label", "_canon"} & set(vars(core))  # no re-exports
     assert not set(expected) & set(vars(labelvote))  # resolved on access, never cached
     # So a patch of the defining module, as the benchmark's tracer makes, is seen here too.
     monkeypatch.setattr(core, "build_matrix", "patched")

@@ -18,6 +18,8 @@ from labelvote import (
 )
 from labelvote import schema as schema_module
 
+from conftest import random_sparse_rows
+
 
 def rec(annotator, item, label, attribute="gender"):
     return AnnotationRecord(annotator, item, attribute, label)
@@ -226,6 +228,31 @@ class TestAnnotationMatrix:
         assert by_columns.labels.tolist() == [3, 2, 1]
         assert by_columns.by_item == (((0, 3), (1, 2)), ((0, 1),))
         assert by_columns.by_annotator == (((0, 3), (1, 1)), ((0, 2),))
+        # Annotator a2 and item p1 have no entries: each still has its (empty) list.
+        gaps = AnnotationMatrix(
+            gender_schema, ["a1", "a2", "a3"], ["p1", "p2", "p3"], ([2, 0, 2], [2, 2, 0], [1, 3, 2])
+        )
+        assert gaps.by_item == (((2, 2),), (), ((0, 3), (2, 1)))
+        assert gaps.by_annotator == (((2, 3),), (), ((0, 2), (2, 1)))
+
+    def test_views_match_a_brute_force_grouping(self):
+        rng = random.Random(20)
+        for _ in range(40):
+            rows, n_labels = random_sparse_rows(rng, max_items=30, max_missing=0.9)
+            schema = AttributeSchema("attr", [f"label{k}" for k in range(1, n_labels + 1)])
+            entries = [(i, j, v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+            rng.shuffle(entries)
+            matrix = AnnotationMatrix(
+                schema, [f"a{i}" for i in range(len(rows))], [f"p{j}" for j in range(len(rows[0]))],
+                tuple(zip(*entries)),
+            )
+            assert matrix.by_item == tuple(
+                tuple((i, row[j]) for i, row in enumerate(rows) if row[j])
+                for j in range(len(rows[0]))
+            )
+            assert matrix.by_annotator == tuple(
+                tuple((j, v) for j, v in enumerate(row) if v) for row in rows
+            )
 
     def test_rejects_out_of_range_entries(self, gender_schema):
         for entries in ({(2, 0): 1}, {(-1, 0): 1}, {(0, 1): 1}, {(0, 0): 0}, {(0, 0): 4}):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import operator
 import random
 import re
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -917,6 +919,42 @@ class TestColumnReader:
         assert rows.call_count == 1
         assert peak < 20 * path.stat().st_size  # a copy of the long id per row: 400 times
         assert matrix == build_matrix(COLUMN_SCHEMA, records)
+
+    def test_line_without_lf_is_read_in_linear_time(self, tmp_path):
+        """An 8 MiB line in 2 KiB chunks: copying the pending bytes once per
+        chunk took seconds; growing them in place takes a small share of that."""
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"annotator_id": "' + b"a" * (8 << 20))
+        outcome = []
+        with mock.patch.object(core, "_COLUMN_BLOCK", 2048):
+            reader = threading.Thread(
+                target=lambda: outcome.append(core._read_canonical(path, COLUMN_SCHEMA)),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=1.5)
+        assert not reader.is_alive()
+        assert outcome == [None]  # declined, for the row path to raise its error
+
+    def test_row_path_builds_each_record_once(self, tmp_path):
+        path = tmp_path / "a.jsonl"
+        with open(path, "w", encoding="utf-8", newline="\r\n") as fh:  # not canonical
+            fh.writelines(json.dumps(dict(zip(FIELDS, r)), ensure_ascii=False) + "\n"
+                          for r in self.rows())
+        expected = build_matrix(COLUMN_SCHEMA, self.rows())
+        # read_matrix builds no record: its rows go to build_matrix as tuples.
+        with mock.patch.object(AnnotationRecord, "__post_init__", side_effect=AssertionError):
+            assert read_matrix(path, COLUMN_SCHEMA) == expected
+        built, check = [], AnnotationRecord.__post_init__
+
+        def counted(record):
+            built.append(record)
+            check(record)
+
+        with mock.patch.object(AnnotationRecord, "__post_init__", counted):
+            records = read_annotations(path)
+        assert records == self.rows()
+        assert len(built) == len(records) and all(map(operator.is_, built, records))
 
     def test_conflict_in_a_canonical_file_is_raised_column_wise(self, tmp_path):
         path = tmp_path / "a.jsonl"
