@@ -15,15 +15,16 @@ _MODULE = {  # name -> defining module
         "core": "AnnotationMatrix build_matrix",
         "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
         "render_prompt",
+        "jsonl": "read_prediction_rows",
         "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
         "ProviderRejectedError ProviderRequestError load_providers make_provider",
         "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
         "decode_label encode_label",
         "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
         "simulate_annotations",
-        "storage": "PredictionRecord WeightsReport read_annotations read_matrix "
-        "read_prediction_rows read_predictions read_products read_weights write_annotations "
-        "write_matrix write_predictions write_weights",
+        "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "
+        "read_products read_weights write_annotations write_matrix write_predictions "
+        "write_weights",
     }.items()
     for name in names.split()
 }

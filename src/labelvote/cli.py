@@ -32,19 +32,19 @@ def _schema_from_args(args):
 
     file_attribute = None
     file_labels = None
-    if getattr(args, "schema", None):
+    if args.schema:
         rules = _rules(attribute="a non-empty string", labels="an array of strings")
 
         def schema_file(document):
             attribute, labels = _row(rules)(document)
-            if not getattr(args, "labels", None):  # the run uses these labels: name the file
+            if not args.labels:  # the run uses these labels: name the file
                 AttributeSchema(attribute, labels)
             return attribute, labels
 
         file_attribute, file_labels = storage.read_json(args.schema, schema_file)
 
     labels = None
-    if getattr(args, "labels", None):
+    if args.labels:
         labels = [l.strip() for l in args.labels.split(",")]
         if file_labels is not None and labels != [l.strip() for l in file_labels]:
             _warn("--labels overrides the labels in the schema file")
@@ -53,10 +53,9 @@ def _schema_from_args(args):
     if labels is None:
         raise ValueError("no label set given: pass --labels or --schema")
 
-    attribute = getattr(args, "attribute", None)
-    if attribute and file_attribute and attribute.strip() != file_attribute.strip():
+    if args.attribute and file_attribute and args.attribute.strip() != file_attribute.strip():
         _warn("--attribute overrides the attribute in the schema file")
-    attribute = attribute or file_attribute
+    attribute = args.attribute or file_attribute
     if not attribute:
         raise ValueError("no attribute name given: pass --attribute or --schema")
     return AttributeSchema(attribute, labels)
@@ -75,10 +74,11 @@ def cmd_aggregate(args) -> int:
     state = run_ensemble(matrix, config)
     storage.write_predictions(args.out, matrix.item_ids, state.predictions, schema)
     if args.weights_out:
-        report = storage.WeightsReport.from_state(
-            schema.attribute_name, matrix.annotator_ids, state
-        )
-        storage.write_weights(args.weights_out, report)
+        ids = matrix.annotator_ids
+        storage.write_weights(args.weights_out, storage.WeightsReport(
+            schema.attribute_name, dict(zip(ids, state.weights)),
+            dict(zip(ids, state.accuracies)), state.iterations_run, state.converged,
+        ))
     print(
         f"iterations_run={state.iterations_run} converged={state.converged}",
         file=sys.stderr,
@@ -172,7 +172,7 @@ def cmd_extract(args) -> int:
         _MAX_IN_FLIGHT, PromptTemplate, SynonymMap, default_template, extract_labels
     )
     from .jsonl import _check_fields
-    from .providers import ProviderError, load_providers
+    from .providers import load_providers
 
     _check_fields({"max_in_flight": args.max_in_flight}, _MAX_IN_FLIGHT)
     schema = _schema_from_args(args)
@@ -192,18 +192,10 @@ def cmd_extract(args) -> int:
     if args.synonyms:
         synonyms = storage.read_json(args.synonyms, lambda mapping: SynonymMap(mapping, schema))
 
-    try:
-        records = extract_labels(
-            products,
-            schema,
-            providers,
-            template=template,
-            synonyms=synonyms,
-            max_in_flight=args.max_in_flight,
-        )
-    except ProviderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    records = extract_labels(
+        products, schema, providers, template=template, synonyms=synonyms,
+        max_in_flight=args.max_in_flight,
+    )
     per_provider = Counter(r.annotator_id for r in records)
     unresolved = Counter(r.annotator_id for r in records if r.raw_label not in schema.labels)
     for provider in providers:

@@ -130,14 +130,6 @@ def parse_response(
     return encode_label(schema, text)
 
 
-def _complete(provider: Provider, prompt: str) -> str:
-    """One attempt; ``extract_labels`` decides on retries."""
-    response = provider.complete(prompt)
-    if not isinstance(response, str):
-        raise TypeError(f"complete() returned {type(response).__name__}, not str")
-    return response
-
-
 def extract_labels(
     products: Sequence[ProductText],
     schema: AttributeSchema,
@@ -186,46 +178,47 @@ def extract_labels(
     n = len(prompts)
     results: list[list[str | None]] = [[None] * n for _ in live]
     lanes = [max_in_flight if p.concurrency_safe else 1 for p in live]
-    ready = [deque(range(n)) for _ in live]  # product indices waiting for a slot
-    tries = [[0] * n for _ in live]
+    ready = [deque((j, 1) for j in range(n)) for _ in live]  # (product, attempt) for a slot
     unfinished = [n] * len(live)  # requests with no response that have not given up
     running = [0] * len(live)
     last_sent = [0] * len(live)
     order = count(1)
-    backoffs: list[tuple[float, int, int]] = []  # (due, provider, product)
-    tasks: dict[Future, tuple[int, int]] = {}
+    backoffs: list[tuple[float, int, int, int]] = []  # (due, provider, product, attempt)
+    tasks: dict[Future, tuple[int, int, int]] = {}
     finished: SimpleQueue[Future] = SimpleQueue()
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         while any(unfinished):
             now = time.monotonic()
             while backoffs and backoffs[0][0] <= now:
-                _, k, j = heappop(backoffs)
-                ready[k].appendleft(j)
+                _, k, j, attempt = heappop(backoffs)
+                ready[k].appendleft((j, attempt))
             while len(tasks) < max_in_flight:
                 eligible = [k for k in range(len(live)) if ready[k] and running[k] < lanes[k]]
                 if not eligible:
                     break
                 k = min(eligible, key=lambda i: (-unfinished[i] / lanes[i], last_sent[i]))
-                j = ready[k].popleft()
-                tries[k][j] += 1
+                j, attempt = ready[k].popleft()
                 running[k] += 1
                 last_sent[k] = next(order)
-                future = pool.submit(_complete, live[k], prompts[j])
-                tasks[future] = k, j
+                future = pool.submit(live[k].complete, prompts[j])
+                tasks[future] = k, j, attempt
                 future.add_done_callback(finished.put)
             try:
                 future = finished.get(timeout=backoffs[0][0] - now if backoffs else None)
             except Empty:  # a backoff came due
                 continue
-            k, j = tasks.pop(future)
+            k, j, attempt = tasks.pop(future)
             running[k] -= 1
-            provider, attempt = live[k], tries[k][j]
+            provider = live[k]
             try:
-                results[k][j] = future.result()
+                response = future.result()
+                if not isinstance(response, str):
+                    raise TypeError(f"complete() returned {type(response).__name__}, not str")
+                results[k][j] = response
             except ProviderError as exc:
                 if attempt < provider.max_retries and not isinstance(exc, ProviderRejectedError):
                     due = time.monotonic() + RETRY_BACKOFF_S * 2 ** (attempt - 1)
-                    heappush(backoffs, (due, k, j))
+                    heappush(backoffs, (due, k, j, attempt + 1))
                     continue
                 logger.warning(
                     "provider %s: giving up after %d attempt(s): %s",

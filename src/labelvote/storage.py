@@ -22,7 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .jsonl import (  # noqa: F401  (read_prediction_rows re-exported)
+from .jsonl import (
     _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
     _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _row, _rules, read_prediction_rows,
 )
@@ -73,17 +73,6 @@ class WeightsReport(_Checked):
         for annotator, value in self.accuracies.items():
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"accuracy for {annotator!r} outside [0, 1]: {value}")
-
-    @classmethod
-    def from_state(cls, attribute, annotator_ids, state) -> "WeightsReport":
-        """Pair an EnsembleState's vectors with their annotator ids."""
-        return cls(
-            attribute=attribute,
-            weights=dict(zip(annotator_ids, state.weights)),
-            accuracies=dict(zip(annotator_ids, state.accuracies)),
-            iterations_run=state.iterations_run,
-            converged=state.converged,
-        )
 
 
 def read_json(path, make=lambda document: document):

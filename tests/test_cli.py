@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from labelvote import (
-    AnnotationRecord, ProviderError, read_annotations, read_predictions, read_weights,
+    AnnotationRecord, read_annotations, read_predictions, read_weights,
 )
 from labelvote.cli import main
 
@@ -117,6 +117,21 @@ class TestAggregate:
         ])
         assert code == 0
         assert "overrides" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [([], "no label set given: pass --labels or --schema"),
+         (["--labels", "a,b"], "no attribute name given: pass --attribute or --schema")],
+        ids=["no labels", "no attribute"],
+    )
+    def test_missing_schema_flag_exit_2(self, tmp_path, capsys, flags, reason):
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotation_lines(annotations, THREE_BY_FOUR)
+        out = tmp_path / "out.jsonl"
+        code = main(["aggregate", "--input", str(annotations), *flags, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "labels, reason",
@@ -480,13 +495,31 @@ class TestExtract:
         ])
         assert code == 1
 
-    def test_provider_error_from_the_batch_exit_1(self, tmp_path, monkeypatch, capsys):
-        def give_up(*args, **kwargs):
-            raise ProviderError("quota exhausted")
-
-        monkeypatch.setattr("labelvote.extract.extract_labels", give_up)
+    def test_every_request_failing_exit_1(self, tmp_path, capsys):
+        # extract_labels gives each failed request up itself; with no record
+        # at all the command exits 1 and writes nothing.
         products = tmp_path / "products.jsonl"
         self.write_products(products)
+        providers = tmp_path / "providers.json"
+        self.write_providers(providers, [
+            {"kind": "mock", "provider_id": "m1", "max_retries": 1},
+        ])
+        out = tmp_path / "annotations.jsonl"
+        code = main([
+            "extract", "--products", str(products), "--attribute", "gender",
+            "--labels", "male,female,unisex", "--providers", str(providers),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.endswith("provider m1: 0/2 responses, 2 failed, 0 unresolved\n"
+                            "no providers reachable\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_empty_products_file_exit_1(self, tmp_path, capsys):
+        products = tmp_path / "products.jsonl"
+        products.write_text("", encoding="utf-8")
         providers = tmp_path / "providers.json"
         self.write_providers(providers, [MOCK])
         out = tmp_path / "annotations.jsonl"
@@ -496,7 +529,7 @@ class TestExtract:
             "--out", str(out),
         ])
         assert code == 1
-        assert capsys.readouterr().err == "error: quota exhausted\n"
+        assert capsys.readouterr().err == "no products\n"
         assert not out.exists()
 
     def test_garanimals_pipeline_reaches_consensus(self, tmp_path, capsys):
@@ -571,7 +604,12 @@ NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start by
         pytest.param(flag, b"\xff", f"{{bad}}: {NOT_UTF8}", id=f"{flag} non-UTF-8")
         for flag in DOCUMENT_FLAGS
     ]
-    + [pytest.param("--input", b"\xff", f"{{bad}}:1: {NOT_UTF8}", id="--input non-UTF-8")],
+    + [pytest.param("--input", b"\xff", f"{{bad}}:1: {NOT_UTF8}", id="--input non-UTF-8")]
+    + [
+        pytest.param("--workers", content, "{bad}: expected a non-empty JSON array of workers",
+                     id=f"--workers {content.decode()}")
+        for content in (b"{}", b"[]")
+    ],
 )
 def test_invalid_json_input_file_exit_2(tmp_path, capsys, flag, content, reason):
     bad = tmp_path / "bad.json"
@@ -665,6 +703,7 @@ NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
 @pytest.mark.parametrize(
     "entry, reason",
     [
+        (1, "provider config must be a JSON object"),
         ({"kind": "carrier-pigeon"}, "unknown provider kind 'carrier-pigeon'"),
         ({"provider_id": 5, "endpoint": "https://x", "model_name": "m"},
          "field 'provider_id' must be a non-empty string"),
@@ -718,7 +757,7 @@ NO_HOST = f"{ENDPOINT}, with no spaces or control characters, naming a host"
         ({**MOCK, "delay": float("nan")}, DELAY),
         ({**MOCK, "delay": float("-inf")}, DELAY),
     ],
-    ids=["unknown kind", "http non-string id", "mock non-string id", "mock blank id",
+    ids=["non-object", "unknown kind", "http non-string id", "mock non-string id", "mock blank id",
          "mock no attempts", "mock string delay", "mock string fail_times",
          "mock negative delay", "mock non-string default", "mock non-string response",
          "mock string concurrency_safe", "http non-string credential_ref",
@@ -921,6 +960,18 @@ def test_import_leaves_http_stack_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def test_prediction_rows_import_loads_no_storage_and_no_dataclass():
+    probe = (
+        "import sys; from labelvote import read_prediction_rows; "
+        "print(sorted(m for m in sys.modules if m.startswith('labelvote.')), "
+        "'dataclasses' in sys.modules)"
+    )
+    result = run_python_on_src("-c", probe)
+    assert result.returncode == 0, result.stderr
+    bare = run_python_on_src("-c", "import sys, labelvote; print('dataclasses' in sys.modules)")
+    assert result.stdout.split() == ["['labelvote.jsonl']", bare.stdout.strip()]
+
+
 # The package modules each subcommand loads, beyond labelvote and labelvote.cli.
 SUBCOMMAND_MODULES = {
     "--help": [],
@@ -993,15 +1044,15 @@ EXPORTS = {
     "core": "AnnotationMatrix build_matrix",
     "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
     "render_prompt",
+    "jsonl": "read_prediction_rows",
     "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
     "ProviderRejectedError ProviderRequestError load_providers make_provider",
     "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
     "decode_label encode_label",
     "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
     "simulate_annotations",
-    "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_prediction_rows "
-    "read_predictions read_products read_weights write_annotations write_matrix "
-    "write_predictions write_weights",
+    "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "
+    "read_products read_weights write_annotations write_matrix write_predictions write_weights",
 }
 
 

@@ -259,6 +259,20 @@ class TestAnnotationMatrix:
             with pytest.raises(ValueError, match="outside"):
                 AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1"], entries)
 
+    @pytest.mark.parametrize(
+        "annotators, items, entries, reason",
+        [(["a1", "a1"], ["p1"], {}, "duplicate annotator ids"),
+         (["a1"], ["p1", "p1"], {}, "duplicate item ids"),
+         (["a1"], ["p1"], ([0], [0, 0], [1]), "entry columns must be 1-D and equally long"),
+         (["a1"], ["p1"], ([[0]], [[0]], [[1]]), "entry columns must be 1-D and equally long")],
+        ids=["duplicate annotator", "duplicate item", "ragged columns", "2-D columns"],
+    )
+    def test_rejects_repeated_ids_and_malformed_columns(
+        self, gender_schema, annotators, items, entries, reason
+    ):
+        with pytest.raises(ValueError, match=reason):
+            AnnotationMatrix(gender_schema, annotators, items, entries)
+
     def test_repeated_pairs_collapse_or_conflict(self, gender_schema):
         ids = (["a1"], ["p1"])
         assert AnnotationMatrix(gender_schema, *ids, ([0, 0], [0, 0], [2, 2])).observed_count == 1

@@ -9,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urljoin
@@ -274,6 +275,27 @@ class TestExtractLabels:
         )
         assert records == []
         assert provider.calls == 3
+
+    @pytest.mark.parametrize("fail_times, records", [(4, 2), (6, 0)])
+    def test_attempts_are_counted_per_request(
+        self, gender_schema, monkeypatch, caplog, fail_times, records
+    ):
+        # One slot, two requests: the first four calls are each request's first
+        # two attempts, so six scripted failures use up both budgets of three.
+        monkeypatch.setattr("labelvote.extract.RETRY_BACKOFF_S", 0.05)
+        log = CallLog()
+        provider = Logged("m", log, fail_times=fail_times, max_retries=3)
+        with caplog.at_level(logging.WARNING, logger="labelvote.extract"):
+            found = extract_within(
+                10, self.products(2), gender_schema, [provider], max_in_flight=1
+            )
+        assert len(found) == records
+        assert provider.calls == 6
+        per_product = Counter(re.search(r"Product number (\d+)", p).group(1) for p in log.prompts)
+        assert per_product == {"0": 3, "1": 3}
+        gave_up = [r.getMessage() for r in caplog.records if "giving up" in r.getMessage()]
+        assert len(gave_up) == 2 - records
+        assert all("after 3 attempt(s)" in message for message in gave_up)
 
     def test_failed_preflight_drops_the_provider(self, gender_schema, monkeypatch):
         monkeypatch.delenv("LLME_DOWN_API_KEY", raising=False)
