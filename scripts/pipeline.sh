@@ -11,7 +11,8 @@
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
 # check the consensus.
-# Then, check that a mistyped provider option exits 2 and writes nothing.
+# Then, check that a mistyped provider option, and simulate's --out and
+# --truth-out on one file, exit 2 and write nothing.
 # Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
 set -eu
@@ -109,6 +110,17 @@ status=$?
 set -e
 if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
   echo "pipeline: extract with a mistyped provider option exited $status, not 2, or wrote output" >&2
+  exit 1
+fi
+
+# Two outputs of one run on one file are invalid input too: exit 2, no file.
+rm -f "$out/same.jsonl"
+set +e
+labelvote simulate --items 10 --labels low,mid,high --workers "$out/workers.json" --seed 1 --out "$out/same.jsonl" --truth-out "$out/same.jsonl"
+status=$?
+set -e
+if [ "$status" -ne 2 ] || [ -e "$out/same.jsonl" ]; then
+  echo "pipeline: simulate with --out and --truth-out on one file exited $status, not 2, or wrote output" >&2
   exit 1
 fi
 

@@ -19,7 +19,7 @@ _MODULE = {  # name -> defining module
         "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
         "ProviderRejectedError ProviderRequestError load_providers make_provider",
         "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
-        "decode_label encode_label",
+        "encode_label",
         "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
         "simulate_annotations",
         "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "

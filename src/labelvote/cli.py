@@ -7,6 +7,7 @@ Results go to files; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 # Each subcommand imports its modules when it runs, so --help loads none of
@@ -30,8 +31,8 @@ def _schema_from_args(args):
     from .jsonl import _row, _rules
     from .schema import AttributeSchema
 
-    file_attribute = None
-    file_labels = None
+    labels = args.labels and [l.strip() for l in args.labels.split(",")]
+    attribute = args.attribute
     if args.schema:
         rules = _rules(attribute="a non-empty string", labels="an array of strings")
 
@@ -42,20 +43,14 @@ def _schema_from_args(args):
             return attribute, labels
 
         file_attribute, file_labels = storage.read_json(args.schema, schema_file)
-
-    labels = None
-    if args.labels:
-        labels = [l.strip() for l in args.labels.split(",")]
-        if file_labels is not None and labels != [l.strip() for l in file_labels]:
+        if labels and labels != [l.strip() for l in file_labels]:
             _warn("--labels overrides the labels in the schema file")
-    elif file_labels is not None:
-        labels = file_labels
-    if labels is None:
+        if attribute and attribute.strip() != file_attribute.strip():
+            _warn("--attribute overrides the attribute in the schema file")
+        labels = labels or file_labels
+        attribute = attribute or file_attribute
+    if not labels:
         raise ValueError("no label set given: pass --labels or --schema")
-
-    if args.attribute and file_attribute and args.attribute.strip() != file_attribute.strip():
-        _warn("--attribute overrides the attribute in the schema file")
-    attribute = args.attribute or file_attribute
     if not attribute:
         raise ValueError("no attribute name given: pass --attribute or --schema")
     return AttributeSchema(attribute, labels)
@@ -66,6 +61,8 @@ def cmd_aggregate(args) -> int:
     from .aggregate import EnsembleConfig, run_ensemble
 
     config = EnsembleConfig(max_iterations=args.max_iter)
+    if args.weights_out and os.path.realpath(args.weights_out) == os.path.realpath(args.out):
+        raise ValueError("--out and --weights-out name the same file")
     schema = _schema_from_args(args)
     matrix = storage.read_matrix(args.input, schema)
     if matrix.observed_count == 0:
@@ -111,6 +108,8 @@ def cmd_simulate(args) -> int:
 
     # SimulationConfig's own checks, made before any file is read.
     _check_fields({"n_items": args.items, "seed": args.seed}, SimulationConfig._RULES)
+    if args.truth_out and os.path.realpath(args.truth_out) == os.path.realpath(args.out):
+        raise ValueError("--out and --truth-out name the same file")
     if not (args.attribute or args.schema):
         args.attribute = "attr"  # simulated data needs no real attribute name
     schema = _schema_from_args(args)
@@ -168,9 +167,7 @@ def cmd_extract(args) -> int:
     from collections import Counter
 
     from . import storage
-    from .extract import (
-        _MAX_IN_FLIGHT, PromptTemplate, SynonymMap, default_template, extract_labels
-    )
+    from .extract import _MAX_IN_FLIGHT, PromptTemplate, SynonymMap, extract_labels
     from .jsonl import _check_fields
     from .providers import load_providers
 
@@ -181,7 +178,7 @@ def cmd_extract(args) -> int:
         print("no products", file=sys.stderr)
         return EXIT_FAILURE
     providers = load_providers(args.providers)
-    template = default_template()
+    template = None
     if args.template:
         with open(args.template, encoding="utf-8") as fh:
             try:

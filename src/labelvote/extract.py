@@ -59,6 +59,16 @@ class PromptTemplate:
             raise ValueError(f"template has stray braces or placeholders: {exc}") from exc
 
 
+def _normalize(text: str) -> str:
+    """Strip whitespace, surrounding quotes and terminal punctuation; case-fold."""
+    while text:
+        peeled = text.strip().strip(_QUOTE_CHARS).rstrip(_TERMINAL_PUNCTUATION)
+        if peeled == text:
+            break
+        text = peeled
+    return _canon(text)
+
+
 def default_template() -> PromptTemplate:
     text = files("labelvote.data").joinpath("default_prompt.txt").read_text("utf-8")
     return PromptTemplate(text)
@@ -68,10 +78,10 @@ def default_template() -> PromptTemplate:
 class SynonymMap:
     """Surface-form to canonical-label rewrites applied before encoding.
 
-    Keys are trimmed and case-folded at construction and must stay
-    distinct and non-blank. Every target must be a label of ``schema``, so
-    that a typo in a target fails loudly instead of silently dropping
-    annotations.
+    Keys are normalized at construction as :func:`parse_response` normalizes
+    a response, and must stay distinct and non-blank. Every target must be
+    a label of ``schema``, so that a typo in a target fails loudly instead
+    of silently dropping annotations.
     """
 
     mapping: Mapping[str, str]
@@ -84,9 +94,10 @@ class SynonymMap:
                 raise ValueError(
                     f"synonym {surface!r} -> {target!r}: target is not a schema label"
                 )
-            if not _canon(surface):  # peeled punctuation would resolve to its target
+            key = _normalize(surface)  # as a response is normalized before the lookup
+            if not key:  # peeled punctuation would resolve to its target
                 raise ValueError(f"synonym {surface!r} -> {target!r}: key is blank after trimming")
-            first = surfaces.setdefault(_canon(surface), surface)
+            first = surfaces.setdefault(key, surface)
             if first != surface:
                 raise ValueError(f"synonyms {first!r} and {surface!r} are the same key "
                                  "after trimming and case-folding")
@@ -117,14 +128,7 @@ def parse_response(
     punctuation; case-fold; rewrite via the synonym map; then encode.
     No substring search: "The gender is female" stays unresolved.
     """
-    text = raw.strip()
-    while text:
-        peeled = text.strip().strip(_QUOTE_CHARS)
-        peeled = peeled.rstrip(_TERMINAL_PUNCTUATION)
-        if peeled == text:
-            break
-        text = peeled
-    text = _canon(text)
+    text = _normalize(raw)
     if synonyms is not None:
         text = synonyms.canonical(text)
     return encode_label(schema, text)

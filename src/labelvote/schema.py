@@ -69,13 +69,6 @@ def encode_label(schema: AttributeSchema, raw: str) -> ExtendedLabel:
     return schema._index.get(_canon(raw), 0)
 
 
-def decode_label(schema: AttributeSchema, value: ExtendedLabel) -> str | None:
-    """Inverse of :func:`encode_label`: canonical label name, or None for 0."""
-    if not 0 <= value <= schema.n_labels:
-        raise ValueError(f"encoded label {value} out of range 0..{schema.n_labels}")
-    return None if value == 0 else schema.labels[value - 1]
-
-
 class _Checked:
     """Base of a dataclass whose ``_RULES`` table checks its fields when it is built."""
 

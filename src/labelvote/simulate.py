@@ -55,10 +55,6 @@ class SimulationConfig(_Checked):
             raise ValueError("duplicate worker ids")
 
 
-def _item_ids(n_items: int) -> tuple[str, ...]:
-    return tuple(map("item-%06d".__mod__, range(1, n_items + 1)))
-
-
 def generate_ground_truth(config: SimulationConfig) -> list[ExtendedLabel]:
     """Draw one true label per item, iid uniform over 1..L."""
     rng = np.random.default_rng([config.seed, 0])
@@ -105,7 +101,7 @@ def simulate_annotations(
     return AnnotationMatrix(
         schema=config.schema,
         annotator_ids=tuple(w.worker_id for w in config.workers),
-        item_ids=_item_ids(p),
+        item_ids=tuple(map("item-%06d".__mod__, range(1, p + 1))),
         entries=(annotators, items, labels),
     )
 

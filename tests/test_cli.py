@@ -155,8 +155,27 @@ class TestAggregate:
         assert main([*argv, "--attribute", "attr", "--labels", "a,b"]) == 0
         assert "--labels overrides" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--labels", "a,b"], ["--attribute", "attr"]],
-                             ids=["labels", "attribute"])
+    def test_inline_attribute_overrides_schema_file(self, tmp_path, capsys):
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotation_lines(annotations, THREE_BY_FOUR)
+        schema_file = tmp_path / "schema.json"
+        schema_file.write_text(
+            json.dumps({"attribute": "size", "labels": ["a", "b"]}), encoding="utf-8"
+        )
+        out = tmp_path / "out.jsonl"
+        code = main([
+            "aggregate", "--input", str(annotations), "--schema", str(schema_file),
+            "--attribute", "attr", "--out", str(out),
+        ])
+        assert code == 0
+        warning = "warning: --attribute overrides the attribute in the schema file\n"
+        assert warning in capsys.readouterr().err
+        assert {r.attribute for r in read_predictions(out)} == {"attr"}
+
+    # An empty --labels counts as absent: the file's labels are used, with no warning.
+    @pytest.mark.parametrize("flags", [["--labels", "a,b"], ["--attribute", "attr"],
+                                       ["--labels", ""]],
+                             ids=["labels", "attribute", "empty labels"])
     def test_inline_flag_equal_to_schema_file_after_trimming(self, tmp_path, capsys, flags):
         annotations = tmp_path / "annotations.jsonl"
         write_annotation_lines(annotations, THREE_BY_FOUR)
@@ -877,6 +896,33 @@ def test_bad_numeric_flag_exit_2_before_reading_input(tmp_path, capsys, argv, ru
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag, spelling",
+    [
+        (["simulate", "--items", "5", "--workers", "MISSING", "--seed", "1"], "--truth-out",
+         "same.jsonl"),
+        (["simulate", "--items", "5", "--workers", "MISSING", "--seed", "1"], "--truth-out",
+         "./same.jsonl"),
+        (["aggregate", "--input", "MISSING"], "--weights-out", "same.jsonl"),
+        (["aggregate", "--input", "MISSING"], "--weights-out", "./same.jsonl"),
+    ],
+    ids=["--truth-out", "--truth-out ./", "--weights-out", "--weights-out ./"],
+)
+def test_two_outputs_on_one_file_exit_2_before_reading_input(
+    tmp_path, capsys, monkeypatch, argv, flag, spelling
+):
+    # The output written second would replace the first, and the run would exit 0.
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.jsonl"
+    same.write_bytes(b"old\n")
+    argv = ["missing.jsonl" if arg == "MISSING" else arg for arg in argv]
+    code = main([*argv, "--attribute", "attr", "--labels", "a,b",
+                 "--out", "same.jsonl", flag, spelling])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --out and {flag} name the same file\n"
+    assert same.read_bytes() == b"old\n"
+
+
 def test_schema_file_unknown_field_exit_2(tmp_path, capsys):
     annotations = tmp_path / "annotations.jsonl"
     write_annotation_lines(annotations, THREE_BY_FOUR)
@@ -1048,7 +1094,7 @@ EXPORTS = {
     "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
     "ProviderRejectedError ProviderRequestError load_providers make_provider",
     "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
-    "decode_label encode_label",
+    "encode_label",
     "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
     "simulate_annotations",
     "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "

@@ -13,7 +13,6 @@ from labelvote import (
     ConflictError,
     ProductText,
     build_matrix,
-    decode_label,
     encode_label,
 )
 from labelvote import schema as schema_module
@@ -38,14 +37,6 @@ class TestEncodeLabel:
     def test_encode_decode_bijection(self, gender_schema):
         for k, name in enumerate(gender_schema.labels, start=1):
             assert encode_label(gender_schema, name) == k
-            assert decode_label(gender_schema, k) == name
-        assert decode_label(gender_schema, 0) is None
-
-    def test_decode_out_of_range(self, gender_schema):
-        with pytest.raises(ValueError):
-            decode_label(gender_schema, 4)
-        with pytest.raises(ValueError):
-            decode_label(gender_schema, -1)
 
 
 class TestAttributeSchema:

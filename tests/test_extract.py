@@ -121,10 +121,17 @@ class TestSynonymMap:
         synonyms = SynonymMap({" Woman ": "female"}, gender_schema)
         assert synonyms.canonical("woman") == "female"
 
+    def test_keys_are_normalized_like_responses(self, gender_schema):
+        # A key that keeps its punctuation could never match a peeled response.
+        synonyms = SynonymMap({"f.": "female"}, gender_schema)
+        for raw in ("f.", "F", '"f"'):
+            assert parse_response(raw, gender_schema, synonyms) == 2, raw
+
     @pytest.mark.parametrize(
         "mapping",
-        [{"Woman": "female", "woman ": "male"}, {"woman": "female", " WOMAN": "female"}],
-        ids=["different targets", "same target"],
+        [{"Woman": "female", "woman ": "male"}, {"woman": "female", " WOMAN": "female"},
+         {"f.": "female", "F": "female"}],
+        ids=["different targets", "same target", "punctuation"],
     )
     def test_keys_that_normalize_alike_are_rejected(self, gender_schema, mapping):
         # The last key used to win silently; naming both keys points at the typo.
@@ -132,7 +139,8 @@ class TestSynonymMap:
         with pytest.raises(ValueError, match=f"synonyms {first!r} and {second!r} are the same"):
             SynonymMap(mapping, gender_schema)
 
-    @pytest.mark.parametrize("key", ["", "  ", "\t"], ids=["empty", "spaces", "tab"])
+    @pytest.mark.parametrize("key", ["", "  ", "\t", ".", "?!"],
+                             ids=["empty", "spaces", "tab", "period", "punctuation"])
     def test_rejects_blank_key(self, gender_schema, key):
         # A blank key would map the "" that peeling leaves of "." or "?!" to its target.
         with pytest.raises(ValueError) as excinfo:
