@@ -11,8 +11,8 @@
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
 # check the consensus.
-# Then, check that a mistyped provider option, and simulate's --out and
-# --truth-out on one file, exit 2 and write nothing.
+# Then, check that a mistyped provider option (named by its entry number),
+# and simulate's --out and --truth-out on one file, exit 2 and write nothing.
 # Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
 set -eu
@@ -101,17 +101,22 @@ grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/
   exit 1
 }
 
-# A mistyped provider option is invalid input: exit 2 at load, no output file.
+# A mistyped provider option is invalid input: exit 2 at load, naming the
+# file and the entry, and no output file.
 echo '[{"kind": "mock", "provider_id": "m1", "delay": "x"}]' > "$out/bad-providers.json"
 rm -f "$out/bad-extracted.jsonl"
 set +e
-labelvote extract --products "$out/products.jsonl" $schema --providers "$out/bad-providers.json" --out "$out/bad-extracted.jsonl"
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/bad-providers.json" --out "$out/bad-extracted.jsonl" 2> "$out/bad-providers.err"
 status=$?
 set -e
 if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
   echo "pipeline: extract with a mistyped provider option exited $status, not 2, or wrote output" >&2
   exit 1
 fi
+grep -qF 'bad-providers.json: provider #1: ' "$out/bad-providers.err" || {
+  echo "pipeline: extract did not name the bad provider entry: $(cat "$out/bad-providers.err")" >&2
+  exit 1
+}
 
 # Two outputs of one run on one file are invalid input too: exit 2, no file.
 rm -f "$out/same.jsonl"

@@ -87,18 +87,9 @@ def _load_workers(path) -> list:
     from . import storage
     from .simulate import WorkerProfile
 
-    def workers(entries):
-        if not isinstance(entries, list) or not entries:
-            raise ValueError("expected a non-empty JSON array of workers")
-        profiles = []
-        for n, entry in enumerate(entries, start=1):
-            try:
-                profiles.append(WorkerProfile._from_json(entry))
-            except ValueError as exc:
-                raise ValueError(f"worker #{n}: {exc}") from exc
-        return profiles
-
-    return storage.read_json(path, workers)
+    return storage.read_json(
+        path, lambda document: storage._entries(document, WorkerProfile._from_json, "worker")
+    )
 
 
 def cmd_simulate(args) -> int:

@@ -274,7 +274,7 @@ def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
 
 def _blocks(fh):
     """The file's bytes in blocks of about ``_COLUMN_BLOCK``, each ending at an
-    LF but the last, which holds any unterminated line."""
+    LF; an unterminated last line gets one, as the row path reads it whole."""
     rest = bytearray()  # grown in place: a long line costs no copy per chunk
     while chunk := fh.read(_COLUMN_BLOCK):
         rest += chunk
@@ -283,7 +283,7 @@ def _blocks(fh):
             yield rest[:cut]
             del rest[:cut]
     if rest:
-        yield rest
+        yield rest + b"\n"
 
 
 def _block_columns(block: bytearray, schema: AttributeSchema):

@@ -2,10 +2,9 @@
 
 Each LLM provider is an opaque annotator: it gets a prompt and returns
 response text. HttpProvider adapts the common chat-completions JSON API;
-MockProvider serves canned responses for tests and offline pipelines and
-counts its in-flight calls so concurrency limits are observable. Both
-constructors check every option, so a bad providers.json entry fails at
-load; ``urllib.request`` is imported by the first HTTP request.
+MockProvider serves canned responses for tests and offline pipelines.
+Both constructors check every option, so a bad providers.json entry fails
+at load; ``urllib.request`` is imported by the first HTTP request.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from urllib.parse import urlsplit
 
 from .jsonl import _check_object, _rules
 from .schema import _Checked
-from .storage import read_json
+from .storage import _entries, read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
 # Printable ASCII after the scheme: http.client refuses \x00-\x20 and \x7f in a URL.
@@ -167,8 +166,7 @@ class MockProvider(_Checked, Provider):
     ``responses`` maps a prompt substring to the canned response; the
     first matching key (insertion order) wins, falling back to
     ``default_response``. ``fail_times`` makes the first N calls raise,
-    exercising retry paths. The provider counts concurrent calls so a
-    test can assert the engine's in-flight cap.
+    exercising retry paths.
     """
 
     provider_id: str
@@ -179,8 +177,6 @@ class MockProvider(_Checked, Provider):
     max_retries: int = 3
     concurrency_safe: bool = True
     calls: int = field(default=0, init=False)
-    in_flight: int = field(default=0, init=False)
-    max_in_flight: int = field(default=0, init=False)
     _RULES = _rules(
         provider_id="a non-empty string", responses="an object of string pairs",
         default_response="a string or null", fail_times="an integer >= 0",
@@ -198,26 +194,18 @@ class MockProvider(_Checked, Provider):
         with self._lock:
             self.calls += 1
             call_number = self.calls
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        try:
-            if self.delay:
-                time.sleep(self.delay)
-            if call_number <= self.fail_times:
-                raise ProviderRequestError(
-                    f"provider {self.provider_id!r}: scripted failure"
-                )
-            for needle, response in self.responses.items():
-                if needle in prompt:
-                    return response
-            if self.default_response is None:
-                raise ProviderRequestError(
-                    f"provider {self.provider_id!r}: no canned response matches"
-                )
-            return self.default_response
-        finally:
-            with self._lock:
-                self.in_flight -= 1
+        if self.delay:
+            time.sleep(self.delay)
+        if call_number <= self.fail_times:
+            raise ProviderRequestError(f"provider {self.provider_id!r}: scripted failure")
+        for needle, response in self.responses.items():
+            if needle in prompt:
+                return response
+        if self.default_response is None:
+            raise ProviderRequestError(
+                f"provider {self.provider_id!r}: no canned response matches"
+            )
+        return self.default_response
 
 
 def make_provider(config: Mapping[str, object]) -> Provider:
@@ -242,9 +230,7 @@ def load_providers(path) -> list[Provider]:
 
 
 def _providers(configs) -> list[Provider]:
-    if not isinstance(configs, list) or not configs:
-        raise ValueError("expected a non-empty JSON array of providers")
-    providers = [make_provider(c) for c in configs]
+    providers = _entries(configs, make_provider, "provider")
     ids = [p.provider_id for p in providers]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate provider ids")

@@ -86,6 +86,19 @@ def read_json(path, make=lambda document: document):
             raise ValueError(f"{path}: {exc}") from exc
 
 
+def _entries(document, make, name: str) -> list:
+    """``make`` of each entry of a non-empty JSON array; an error reads ``{name} #n: reason``."""
+    if not isinstance(document, list) or not document:
+        raise ValueError(f"expected a non-empty JSON array of {name}s")
+    made = []
+    for n, entry in enumerate(document, start=1):
+        try:
+            made.append(make(entry))
+        except ValueError as exc:
+            raise ValueError(f"{name} #{n}: {exc}") from exc
+    return made
+
+
 def read_annotations(path) -> list[AnnotationRecord]:
     """Read annotation records from JSONL, preserving file order.
 

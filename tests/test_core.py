@@ -305,6 +305,11 @@ class TestAnnotationMatrix:
         columns = (matrix.items.tolist(), matrix.annotators.tolist(), matrix.labels.tolist())
         assert list(zip(*columns)) == sorted((j, i, v) for (i, j), v in first.items())
 
+    def test_equality_with_another_type_is_left_to_it(self, gender_schema):
+        matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})
+        assert not matrix == object()
+        assert matrix != object()
+
     def test_columns_are_read_only(self, gender_schema):
         matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})
         with pytest.raises(ValueError):

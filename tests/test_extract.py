@@ -246,23 +246,23 @@ class TestExtractLabels:
         ] + [("fast", f"sku-{n}") for n in range(4)]
 
     def test_in_flight_cap_is_respected(self, gender_schema):
-        provider = MockProvider("m1", default_response="male", delay=0.01)
+        log = CallLog()
+        provider = Logged("m1", log, delay=0.01)
         extract_labels(
             self.products(12), gender_schema, [provider],
             max_in_flight=3,
         )
         assert provider.calls == 12
-        assert provider.max_in_flight <= 3
+        assert log.peak <= 3
 
     def test_single_use_provider_is_serialized(self, gender_schema):
-        provider = MockProvider(
-            "m1", default_response="male", delay=0.005, concurrency_safe=False
-        )
+        log = CallLog()
+        provider = Logged("m1", log, delay=0.005, concurrency_safe=False)
         extract_labels(
             self.products(8), gender_schema, [provider],
             max_in_flight=8,
         )
-        assert provider.max_in_flight == 1
+        assert log.peak == 1
 
     def test_retries_until_success(self, gender_schema):
         provider = MockProvider(
@@ -341,8 +341,9 @@ class CallLog:
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.in_flight = 0
-        self.peak = 0
+        self.in_flight = Counter()  # calls running now, per provider id
+        self.peak = 0  # the most calls running at once, all providers together
+        self.peaks = Counter()  # the most calls running at once, per provider id
         self.starts = []  # provider ids in the order their calls began
         self.prompts = []  # the prompt of each of those calls
         self.threads = set()  # the threads that called complete()
@@ -357,8 +358,11 @@ class Logged(MockProvider):
 
     def complete(self, prompt: str) -> str:
         with self.log.lock:
-            self.log.in_flight += 1
-            self.log.peak = max(self.log.peak, self.log.in_flight)
+            self.log.in_flight[self.provider_id] += 1
+            self.log.peak = max(self.log.peak, self.log.in_flight.total())
+            self.log.peaks[self.provider_id] = max(
+                self.log.peaks[self.provider_id], self.log.in_flight[self.provider_id]
+            )
             self.log.starts.append(self.provider_id)
             self.log.prompts.append(prompt)
             self.log.threads.add(threading.current_thread())
@@ -366,7 +370,7 @@ class Logged(MockProvider):
             return super().complete(prompt)
         finally:
             with self.log.lock:
-                self.log.in_flight -= 1
+                self.log.in_flight[self.provider_id] -= 1
 
 
 class RaisesOn(Provider):
@@ -444,7 +448,7 @@ class TestScheduler:
             max_in_flight=4,
         )
         assert serial.calls == 8
-        assert serial.max_in_flight == 1
+        assert log.peaks["serial"] == 1
         assert log.peak <= 4
 
     def test_backoff_holds_no_slot(self, gender_schema, monkeypatch):
@@ -545,7 +549,7 @@ class TestScheduler:
             max_in_flight=cap,
         )
         assert len(records) == n_products
-        assert provider.max_in_flight == reached
+        assert log.peak == reached
         assert len(log.threads) <= min(cap, n_products)
 
     def test_provider_bug_costs_one_request(self, gender_schema, caplog):
@@ -811,6 +815,13 @@ class TestHttpProvider:
         monkeypatch.delenv("PROV_TEST_KEY", raising=False)
         with pytest.raises(CredentialError, match="PROV_TEST_KEY"):
             self.provider().preflight()
+
+    def test_missing_credential_fails_the_request_before_it_is_sent(self, monkeypatch):
+        # The port is closed, so a request that was sent would fail as ProviderRequestError.
+        provider = self.provider(f"http://127.0.0.1:{closed_port()}/chat")
+        monkeypatch.delenv("PROV_TEST_KEY", raising=False)
+        with pytest.raises(CredentialError, match="missing credential PROV_TEST_KEY"):
+            provider.complete("x")
 
     def test_default_credential_convention(self):
         provider = HttpProvider("gpt-4", "https://x", "m")

@@ -871,14 +871,20 @@ class TestColumnReader:
         rows += [("köln", "垃圾", "g", " 垃 "), ("köln", "垃圾", "g", "垃")]
         return [AnnotationRecord(*row) for row in rows]
 
-    @pytest.mark.parametrize("newline, row_reads", [("\n", 0), ("\r\n", 1)], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize(
+        "newline, final_lf, row_reads",
+        [("\n", True, 0), ("\r\n", True, 1), ("\n", False, 0)],
+        ids=["LF", "CRLF", "no final LF"],
+    )
     def test_only_a_file_that_is_not_canonical_takes_the_row_path(
-        self, tmp_path, newline, row_reads
+        self, tmp_path, newline, final_lf, row_reads
     ):
         path = tmp_path / "a.jsonl"
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             fh.writelines(json.dumps(dict(zip(FIELDS, r)), ensure_ascii=False) + "\n"
                           for r in self.rows())
+        if not final_lf:
+            path.write_bytes(path.read_bytes().removesuffix(b"\n"))
         with mock.patch.object(core, "_COLUMN_BLOCK", 1000), \
                 mock.patch.object(storage, "_annotation_rows", wraps=storage._annotation_rows) as rows:
             matrix = read_matrix(path, COLUMN_SCHEMA)
