@@ -11,8 +11,11 @@
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
 # check the consensus.
-# Then, check that a mistyped provider option (named by its entry number),
-# and simulate's --out and --truth-out on one file, exit 2 and write nothing.
+# Then, check that a provider that gives up is reported on stderr as a
+# warning, while extract still exits 0 with the other provider's records.
+# Then, check that a mistyped provider option (named by its entry number), a
+# repeated worker id, and simulate's --out and --truth-out on one file, exit 2
+# and write nothing.
 # Last, extract over HTTP from a local stub chat-completions server.
 # Usage: scripts/pipeline.sh [output-dir]
 set -eu
@@ -101,6 +104,23 @@ grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/
   exit 1
 }
 
+# A provider that fails every request costs only its own records: extract
+# exits 0, and stderr names the provider that gave up, as a warning.
+cat > "$out/failing-providers.json" <<'EOF'
+[
+  {"kind": "mock", "provider_id": "down", "default_response": "male", "fail_times": 1000, "max_retries": 1},
+  {"kind": "mock", "provider_id": "up", "default_response": "male"}
+]
+EOF
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/failing-providers.json" --out "$out/failing-extracted.jsonl" 2> "$out/failing-providers.err" || {
+  echo "pipeline: extract with one failing provider did not exit 0: $(cat "$out/failing-providers.err")" >&2
+  exit 1
+}
+grep -qF 'warning: provider down: giving up after 1 attempt(s)' "$out/failing-providers.err" || {
+  echo "pipeline: extract did not warn about the provider that gave up: $(cat "$out/failing-providers.err")" >&2
+  exit 1
+}
+
 # A mistyped provider option is invalid input: exit 2 at load, naming the
 # file and the entry, and no output file.
 echo '[{"kind": "mock", "provider_id": "m1", "delay": "x"}]' > "$out/bad-providers.json"
@@ -115,6 +135,27 @@ if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
 fi
 grep -qF 'bad-providers.json: provider #1: ' "$out/bad-providers.err" || {
   echo "pipeline: extract did not name the bad provider entry: $(cat "$out/bad-providers.err")" >&2
+  exit 1
+}
+
+# A repeated worker id is invalid input too: exit 2, naming the entry, no file.
+cat > "$out/repeated-workers.json" <<'EOF'
+[
+  {"worker_id": "w1", "accuracy": 0.9},
+  {"worker_id": "w1", "accuracy": 0.8}
+]
+EOF
+rm -f "$out/repeated.jsonl"
+set +e
+labelvote simulate --items 10 --labels low,mid,high --workers "$out/repeated-workers.json" --seed 1 --out "$out/repeated.jsonl" 2> "$out/repeated-workers.err"
+status=$?
+set -e
+if [ "$status" -ne 2 ] || [ -e "$out/repeated.jsonl" ]; then
+  echo "pipeline: simulate with a repeated worker id exited $status, not 2, or wrote output" >&2
+  exit 1
+fi
+grep -qF 'repeated-workers.json: worker #2: ' "$out/repeated-workers.err" || {
+  echo "pipeline: simulate did not name the repeated worker entry: $(cat "$out/repeated-workers.err")" >&2
   exit 1
 }
 

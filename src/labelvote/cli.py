@@ -155,6 +155,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    import logging
     from collections import Counter
 
     from . import storage
@@ -163,6 +164,8 @@ def cmd_extract(args) -> int:
     from .providers import load_providers
 
     _check_fields({"max_in_flight": args.max_in_flight}, _MAX_IN_FLIGHT)
+    # A no-op once root has a handler; lastResort writes to sys.stderr as it is at each record.
+    logging.basicConfig(format="warning: %(message)s", handlers=[logging.lastResort])
     schema = _schema_from_args(args)
     products = storage.read_products(args.products)
     if not products:

@@ -19,7 +19,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from importlib.resources import files
-from itertools import count
 from queue import Empty, SimpleQueue
 from typing import Mapping, Sequence
 
@@ -148,11 +147,11 @@ def extract_labels(
     one attempt per task, so the cap holds across all providers together.
     A provider has ``max_in_flight`` lanes, or one if it is not
     concurrency-safe. Whenever a slot is free, the calling thread sends a
-    ready request of the provider with the most unfinished requests per
-    lane, the one sent to least recently on a tie, so no provider keeps
-    the cap to itself and none straggles alone at the end. A failed
-    attempt waits out its backoff on a heap, holding no slot and no
-    thread. Providers failing their preflight (bad credentials) are
+    ready request of the provider with the most queued requests per lane,
+    the first listed on a tie. A send shortens its own queue, so no
+    provider keeps the cap to itself and none straggles alone at the end.
+    A failed attempt waits out its backoff on a heap, holding no slot and
+    no thread. Providers failing their preflight (bad credentials) are
     dropped before the batch. A request that fails past its retry budget
     or with ``ProviderRejectedError``, raises a non-``ProviderError`` or
     returns a non-string (logged, not retried), or returns only whitespace
@@ -183,15 +182,12 @@ def extract_labels(
     results: list[list[str | None]] = [[None] * n for _ in live]
     lanes = [max_in_flight if p.concurrency_safe else 1 for p in live]
     ready = [deque((j, 1) for j in range(n)) for _ in live]  # (product, attempt) for a slot
-    unfinished = [n] * len(live)  # requests with no response that have not given up
     running = [0] * len(live)
-    last_sent = [0] * len(live)
-    order = count(1)
     backoffs: list[tuple[float, int, int, int]] = []  # (due, provider, product, attempt)
     tasks: dict[Future, tuple[int, int, int]] = {}
     finished: SimpleQueue[Future] = SimpleQueue()
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        while any(unfinished):
+        while tasks or backoffs or any(ready):
             now = time.monotonic()
             while backoffs and backoffs[0][0] <= now:
                 _, k, j, attempt = heappop(backoffs)
@@ -200,10 +196,9 @@ def extract_labels(
                 eligible = [k for k in range(len(live)) if ready[k] and running[k] < lanes[k]]
                 if not eligible:
                     break
-                k = min(eligible, key=lambda i: (-unfinished[i] / lanes[i], last_sent[i]))
+                k = max(eligible, key=lambda i: len(ready[i]) / lanes[i])  # first on a tie
                 j, attempt = ready[k].popleft()
                 running[k] += 1
-                last_sent[k] = next(order)
                 future = pool.submit(live[k].complete, prompts[j])
                 tasks[future] = k, j, attempt
                 future.add_done_callback(finished.put)
@@ -231,7 +226,6 @@ def extract_labels(
             except Exception:  # a provider bug costs this request, not the batch
                 logger.warning("provider %s: unexpected error, not retried",
                                provider.provider_id, exc_info=True)
-            unfinished[k] -= 1
 
     records = []
     for provider, responses in zip(live, results):

@@ -226,12 +226,4 @@ def make_provider(config: Mapping[str, object]) -> Provider:
 
 def load_providers(path) -> list[Provider]:
     """Read a providers file: a JSON array of provider objects."""
-    return read_json(path, _providers)
-
-
-def _providers(configs) -> list[Provider]:
-    providers = _entries(configs, make_provider, "provider")
-    ids = [p.provider_id for p in providers]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate provider ids")
-    return providers
+    return read_json(path, lambda configs: _entries(configs, make_provider, "provider"))

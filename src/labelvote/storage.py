@@ -87,16 +87,20 @@ def read_json(path, make=lambda document: document):
 
 
 def _entries(document, make, name: str) -> list:
-    """``make`` of each entry of a non-empty JSON array; an error reads ``{name} #n: reason``."""
+    """``make`` of each entry of a non-empty JSON array, by distinct ``{name}_id``s;
+    an error, a repeated id included, reads ``{name} #n: reason``."""
     if not isinstance(document, list) or not document:
         raise ValueError(f"expected a non-empty JSON array of {name}s")
-    made = []
+    made = {}  # by {name}_id, in file order
     for n, entry in enumerate(document, start=1):
         try:
-            made.append(make(entry))
+            value = make(entry)
+            key = getattr(value, f"{name}_id")
+            if made.setdefault(key, value) is not value:
+                raise ValueError(f"duplicate {name}_id {key!r}")
         except ValueError as exc:
             raise ValueError(f"{name} #{n}: {exc}") from exc
-    return made
+    return list(made.values())
 
 
 def read_annotations(path) -> list[AnnotationRecord]:

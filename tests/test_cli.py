@@ -711,6 +711,19 @@ def test_malformed_worker_exit_2(tmp_path, capsys, entry, reason):
     assert f"{workers_file}: {reason}" in capsys.readouterr().err
 
 
+def test_repeated_worker_id_names_the_entry(tmp_path, capsys):
+    workers_file = tmp_path / "workers.json"
+    workers_file.write_text(json.dumps(TABLE_WORKERS[:1] * 2), encoding="utf-8")
+    out = tmp_path / "x.jsonl"
+    code = main([
+        "simulate", "--items", "10", "--labels", "a,b", "--workers", str(workers_file),
+        "--seed", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{workers_file}: worker #2: duplicate worker_id 'w1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 MOCK = {"kind": "mock", "provider_id": "m1", "default_response": "a"}
 HTTP = {"provider_id": "h1", "endpoint": "https://x", "model_name": "m"}
 ENDPOINT = "field 'endpoint' must be an http:// or https:// URL in ASCII"
@@ -872,6 +885,25 @@ def test_repeated_product_exits_2_before_any_request(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_repeated_provider_id_names_the_entry(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_labels was called")
+
+    monkeypatch.setattr("labelvote.extract.extract_labels", refuse)
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "a", "title": "Socks"}) + "\n", encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([{**MOCK, "provider_id": "m"}] * 2), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    code = main([
+        "extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b",
+        "--providers", str(providers), "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{providers}: provider #2: duplicate provider_id 'm'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, rule",
     [
@@ -1016,6 +1048,39 @@ def test_prediction_rows_import_loads_no_storage_and_no_dataclass():
     assert result.returncode == 0, result.stderr
     bare = run_python_on_src("-c", "import sys, labelvote; print('dataclasses' in sys.modules)")
     assert result.stdout.split() == ["['labelvote.jsonl']", bare.stdout.strip()]
+
+
+def test_extract_warnings_are_prefixed_once_per_call(tmp_path):
+    # pytest attaches its own root handlers, so the CLI's logging is checked in a child,
+    # which calls main twice, each time with a new stderr.
+    products = tmp_path / "products.jsonl"
+    products.write_text("".join(
+        json.dumps({"item_id": f"p{n}", "title": "Socks"}) + "\n" for n in range(2)
+    ), encoding="utf-8")
+    providers = tmp_path / "providers.json"
+    providers.write_text(json.dumps([
+        {"kind": "mock", "provider_id": "bad", "fail_times": 9, "max_retries": 1},
+        {**MOCK, "default_response": "unresolved"},  # logged at INFO, which stays silent
+    ]), encoding="utf-8")
+    argv = ["extract", "--products", str(products), "--attribute", "attr", "--labels", "a,b",
+            "--providers", str(providers), "--out", str(tmp_path / "out.jsonl")]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from labelvote.cli import main\n"
+        "for _ in range(2):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        assert main(sys.argv[1:]) == 0\n"
+        "    print(json.dumps(err.getvalue()))\n"
+    )
+    result = run_python_on_src("-c", probe, *argv)
+    assert result.returncode == 0, result.stderr
+    gave_up = "provider bad: giving up after 1 attempt(s): provider 'bad': scripted failure"
+    expected = [2 * f"warning: {gave_up}\n"
+                + "provider bad: 0/2 responses, 2 failed, 0 unresolved\n"
+                + "provider m1: 2/2 responses, 0 failed, 2 unresolved\n"] * 2
+    assert [json.loads(line) for line in result.stdout.splitlines()] == expected
+    assert result.stderr == ""
 
 
 # The package modules each subcommand loads, beyond labelvote and labelvote.cli.

@@ -15,6 +15,7 @@ from pathlib import Path
 from urllib.parse import urljoin
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labelvote import (
     AttributeSchema,
@@ -493,9 +494,9 @@ class TestScheduler:
             10, self.products(5), gender_schema, providers,
             max_in_flight=1,
         )
-        # One slot, two providers with as many unfinished requests per lane:
-        # the one sent to least recently goes next, so the calls alternate
-        # (9 switches) rather than run as two blocks (1).
+        # One slot, two providers with as many queued requests per lane:
+        # each send shortens its own queue, so the other goes next and the
+        # calls alternate (9 switches) rather than run as two blocks (1).
         switches = sum(x != y for x, y in zip(log.starts, log.starts[1:]))
         assert switches >= 6
 
@@ -511,7 +512,7 @@ class TestScheduler:
             max_in_flight=2,
         )
         assert len(records) == 24
-        # Unfinished requests per lane pick the next request: the serial
+        # Queued requests per lane pick the next request: the serial
         # provider, with one lane, keeps a slot busy early instead of being
         # left alone on one slot at the end.
         assert log.starts[-1] != "serial"
@@ -551,6 +552,38 @@ class TestScheduler:
         assert len(records) == n_products
         assert log.peak == reached
         assert len(log.threads) <= min(cap, n_products)
+
+    # The autouse no_retry_backoff fixture keeps RETRY_BACKOFF_S at 0 for every example.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_invariants_over_random_provider_mixes(self, gender_schema, data):
+        log = CallLog()
+        providers = [
+            Logged(
+                f"m{k}", log,
+                concurrency_safe=data.draw(st.booleans()),
+                fail_times=data.draw(st.integers(0, 4)),
+                max_retries=data.draw(st.integers(1, 3)),
+                delay=data.draw(st.sampled_from([0.0, 0.001])),
+            )
+            for k in range(data.draw(st.integers(1, 4)))
+        ]
+        cap = data.draw(st.integers(1, 4))
+        n_products = data.draw(st.integers(1, 6))
+        records = extract_within(
+            10, self.products(n_products), gender_schema, providers, max_in_flight=cap,
+        )
+        keys = [(int(r.annotator_id[1:]), int(r.item_id[4:])) for r in records]
+        assert keys == sorted(set(keys))  # provider-major, each in product order
+        assert log.peak <= cap
+        for p in providers:
+            if not p.concurrency_safe:
+                assert log.peaks[p.provider_id] <= 1
+            got = sum(r.annotator_id == p.provider_id for r in records)
+            assert got == p.calls - min(p.fail_times, p.calls)
+            if p.fail_times < p.max_retries:
+                assert got == n_products
 
     def test_provider_bug_costs_one_request(self, gender_schema, caplog):
         buggy = RaisesOn("buggy", marker="number 2")
