@@ -1,8 +1,9 @@
 #!/bin/sh
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
-# Check that the annotations in reverse, read column-wise, aggregate to the
-# same files as a CRLF copy of them, read row by row.
+# Check that the annotations in reverse, with some labels out of vocabulary,
+# read column-wise, aggregate to the same files as a CRLF copy of them, read
+# row by row.
 # Check that the installed package runs --help with no package module but
 # its command-line one, and --help and evaluate without numpy; evaluate
 # loads the JSONL reader but not the records of storage and schema, and
@@ -39,7 +40,13 @@ labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.js
 # aggregate reads a canonical file column-wise, and a CRLF copy of it row by
 # row: both must write the same predictions and weights. The lines go in
 # reverse, so that no id's order by value is its order of first appearance.
-tac "$out/annotations.jsonl" > "$out/reversed.jsonl"
+# Every 7th line, and every line of items item-000000 to item-000049, gets the
+# out-of-vocabulary label "unknown": both readers drop those rows, and some
+# ids appear only on dropped rows.
+tac "$out/annotations.jsonl" | awk '
+  NR % 7 == 0 || /"item_id": "item-0000[0-4][0-9]"/ { sub(/"raw_label": "[^"]*"/, "\"raw_label\": \"unknown\"") }
+  { print }
+' > "$out/reversed.jsonl"
 awk '{ printf "%s\r\n", $0 }' "$out/reversed.jsonl" > "$out/reversed-crlf.jsonl"
 for copy in reversed reversed-crlf; do
   labelvote aggregate --input "$out/$copy.jsonl" --attribute attr --labels low,mid,high --out "$out/$copy-predictions.jsonl" --weights-out "$out/$copy-weights.json"

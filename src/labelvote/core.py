@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL
+from .jsonl import _ANNOTATION_LINE, _TEXT
 from .schema import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
 
 
@@ -235,13 +235,6 @@ def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, column[firsts[by_appearance]]
 
 
-# A canonical annotation line: the writers' shape, with no '"', '\' or control
-# character in a value. A value's bytes are then its text in UTF-8, each line
-# holds 16 quotes, and NUL pads a value to a fixed width unambiguously.
-_VALUE = rb'"[^"\\\x00-\x1f]*"'
-_CANONICAL = re.compile(
-    b"(?:%s)*" % (re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL).encode() % ((_VALUE,) * 4))
-)
 _COLUMN_BLOCK = 1 << 20  # bytes read at a time, cut at the last LF
 _SPREAD = 4  # a fixed-width column may take at most this many times the bytes it came from
 
@@ -252,16 +245,20 @@ class _NotCanonical(Exception):
 
 def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
     """``build_matrix`` of the annotation file at ``path``, read column-wise, or
-    None unless every line is canonical, and no value is blank, not UTF-8 or
-    of another attribute: for such a file the per-row path reads the same
-    rows, and raises the errors. Outside its values a canonical line is
-    ASCII, and every value is decoded or equals the schema's attribute, so
-    the file is UTF-8 when they are."""
+    None unless the file is UTF-8 and every line is canonical: the writers'
+    shape, each value a text of ``jsonl``'s value rule, and the attribute the
+    schema's. For any other file the per-row path reads the same rows, and
+    raises the errors. A canonical line holds 16 quotes, and NUL pads a
+    value's bytes to a fixed width unambiguously."""
+    if not re.fullmatch(_TEXT, schema.attribute_name):
+        return None  # it holds '"', '\' or a control character, never raw in a line
+    value, attribute = f'"{_TEXT}"', f'"{re.escape(schema.attribute_name)}"'
+    canonical = re.compile(f"(?:{_ANNOTATION_LINE}\n)*" % (value, value, attribute, value))
     columns: tuple[list, list, list] = ([], [], [])  # annotators, items, labels of kept rows
     try:
         with open(path, "rb") as fh:
             for block in _blocks(fh):
-                for parts, column in zip(columns, _block_columns(block, schema)):
+                for parts, column in zip(columns, _block_columns(block, canonical, schema)):
                     parts.append(column)
             size = fh.tell()
         annotators, annotator_ids = _intern_ids(columns[0], size)
@@ -286,10 +283,10 @@ def _blocks(fh):
         yield rest + b"\n"
 
 
-def _block_columns(block: bytearray, schema: AttributeSchema):
+def _block_columns(block: bytearray, canonical: re.Pattern, schema: AttributeSchema):
     """The annotator, item and label columns of one block's in-vocabulary rows:
     the ids as fixed-width bytes, the labels encoded."""
-    if not _CANONICAL.fullmatch(block):
+    if not canonical.fullmatch(block.decode("utf-8")):
         raise _NotCanonical
     buf = np.frombuffer(block, dtype=np.uint8)
     quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 16)
@@ -307,20 +304,12 @@ def _block_columns(block: bytearray, schema: AttributeSchema):
         values[np.arange(widths[field]) >= lengths[:, field, None]] = 0
         return values.view(f"S{widths[field]}").ravel()
 
-    if not (column(2) == schema.attribute_name.encode()).all():
-        raise _NotCanonical
     raw, distinct = _intern(column(3))
-    codes = [encode_label(schema, text) for text in _texts(distinct.tolist())]
+    codes = [encode_label(schema, value.decode()) for value in distinct.tolist()]
     labels = np.array(codes, np.min_scalar_type(schema.n_labels))[raw]
     keep = labels > 0
     del raw
-    ids = []
-    for field in (0, 1):
-        values = column(field)
-        _texts(set(values[~keep].tolist()))
-        ids.append(values[keep])
-        del values
-    return *ids, labels[keep]
+    return column(0)[keep], column(1)[keep], labels[keep]
 
 
 def _intern_ids(parts: list, size: int) -> tuple[np.ndarray, list[str]]:
@@ -332,12 +321,4 @@ def _intern_ids(parts: list, size: int) -> tuple[np.ndarray, list[str]]:
     column = np.concatenate(parts) if parts else np.empty(0, dtype="S1")
     parts.clear()
     codes, distinct = _intern(column)
-    return codes, _texts(distinct.tolist())
-
-
-def _texts(values) -> list[str]:
-    """The texts of UTF-8 values; a blank one needs the per-row path."""
-    texts = [value.decode("utf-8") for value in values]
-    if not all(map(str.strip, texts)):
-        raise _NotCanonical
-    return texts
+    return codes, [value.decode() for value in distinct.tolist()]

@@ -240,6 +240,71 @@ class TestOracleWeights:
             assert low <= gap <= high, (seed, gap)
 
 
+class TestCorrelatedErrors:
+    """Where "outperforms all single LLMs" stops. Li & Yu's bound assumes that
+    annotators err independently given the true label; these crowds do not.
+
+    Shared confusion: five workers at accuracy 0.9-0.7 who, when wrong, pick one
+    per-item attractive wrong label with probability rho. A herd: a strong model
+    at 0.9 beside four clones at 0.7, each copying one shared base model's
+    answer with probability q. L=3, 5,000 items, seeds 1-10, the loop run to
+    convergence. The ensemble's lead over the best single worker ran 0.050-0.065
+    at rho = 0.8 (0.066-0.077 at rho = 0). Over the strong model it ran
+    0.034-0.051 at q = 0, with weight 1.70-1.72 against the herd's mean
+    1.13-1.15, and -0.204 to -0.185 at q = 0.9, with weight 0.93-1.00 against
+    1.86-1.87. The bands leave room around those figures.
+    """
+
+    ITEMS, LABELS, SEEDS = 5_000, 3, range(1, 11)
+
+    def answers(self, rng, truth, accuracy, shape):
+        """Labels right with probability ``accuracy``, else a uniform wrong one."""
+        wrong = (truth - 1 + rng.integers(1, self.LABELS, shape)) % self.LABELS + 1
+        return np.where(rng.random(shape) < accuracy, truth, wrong)
+
+    def run(self, labels, truth):
+        """The converged ensemble's accuracy and weights over a dense workers x items crowd."""
+        annotators, items = np.indices(labels.shape).reshape(2, -1)
+        schema = AttributeSchema("attr", [f"l{k}" for k in range(1, self.LABELS + 1)])
+        matrix = AnnotationMatrix(schema, [f"w{k}" for k in range(len(labels))],
+                                  [f"i{j}" for j in range(self.ITEMS)],
+                                  (annotators, items, labels.ravel()))
+        state = run_ensemble(matrix, EnsembleConfig(max_iterations=500))
+        assert state.converged
+        return score_accuracy(state.predictions, truth.tolist()), state.weights
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.8])
+    def test_shared_confusion_still_beats_the_best_single_worker(self, rho):
+        accuracies = np.array([[0.9], [0.85], [0.8], [0.75], [0.7]])
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            truth = rng.integers(1, self.LABELS + 1, self.ITEMS)
+            attractive = self.answers(rng, truth, 0.0, self.ITEMS)
+            confused = np.where(rng.random((5, self.ITEMS)) < rho, attractive,
+                                self.answers(rng, truth, 0.0, (5, self.ITEMS)))
+            labels = np.where(rng.random((5, self.ITEMS)) < accuracies, truth, confused)
+            accuracy, _ = self.run(labels, truth)
+            best = (labels == truth).mean(axis=1).max()
+            assert accuracy - best >= 0.03, (seed, accuracy, best)
+
+    @pytest.mark.parametrize("q", [0.0, 0.9])
+    def test_a_herd_of_clones_outvotes_the_strong_model(self, q):
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            truth = rng.integers(1, self.LABELS + 1, self.ITEMS)
+            base = self.answers(rng, truth, 0.7, self.ITEMS)
+            herd = np.where(rng.random((4, self.ITEMS)) < q, base,
+                            self.answers(rng, truth, 0.7, (4, self.ITEMS)))
+            strong = self.answers(rng, truth, 0.9, (1, self.ITEMS))
+            accuracy, weights = self.run(np.vstack([strong, herd]), truth)
+            lead = accuracy - (strong == truth).mean()
+            herd_weight = sum(weights[1:]) / 4
+            if q == 0:  # independent clones: the ensemble wins, and trusts the strong model
+                assert lead >= 0.02 and weights[0] > herd_weight, (seed, lead, weights)
+            else:
+                assert lead <= -0.1 and herd_weight > weights[0], (seed, lead, weights)
+
+
 class TestMajorityVote:
     def test_unanimous_matrix(self):
         matrix = make_matrix([[1, 2], [1, 2]])

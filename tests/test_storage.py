@@ -893,18 +893,47 @@ class TestColumnReader:
         assert matrix.annotator_ids == ("a0", "a1", "a2", "a3", "köln")
         assert matrix.item_ids[:2] == ("p0", "p1")
 
+    # Values the row reader refuses on any row, kept or dropped: a character cut
+    # short (not UTF-8), and text that str.strip() leaves blank.
+    REFUSED = {"": "垃".encode("utf-8")[:2], "-space": b" ", "-U+3000": "\u3000".encode(),
+               "-U+0085": "\x85".encode()}
+
     @pytest.mark.parametrize("field", range(4))
-    @pytest.mark.parametrize("label", [b"x", b"kid"], ids=["kept", "dropped"])
-    def test_value_that_is_not_utf8_takes_the_row_path(self, tmp_path, field, label):
+    @pytest.mark.parametrize(
+        "label, value",
+        [(label, value) for value in REFUSED.values() for label in (b"x", b"kid")],
+        ids=[kind + name for name in REFUSED for kind in ("kept", "dropped")],
+    )
+    def test_value_that_is_not_utf8_takes_the_row_path(self, tmp_path, field, label, value):
         path = tmp_path / "a.jsonl"
         write_annotations(path, self.rows())
         values = [b"a1", b"p1", b"g", label]
-        values[field] = "垃".encode("utf-8")[:2]  # a character cut short
+        values[field] = value
         line = b'{"annotator_id": "%s", "item_id": "%s", "attribute": "%s", "raw_label": "%s"}\n'
         path.write_bytes(path.read_bytes() + line % tuple(values))
         fused, staged = fused_and_staged(path, COLUMN_SCHEMA)
         assert fused == staged
-        assert fused[1].startswith(f"{path}:{len(self.rows()) + 1}: 'utf-8' codec can't decode")
+        message = ("'utf-8' codec can't decode" if value == self.REFUSED[""]
+                   else f"field {FIELDS[field]!r} must be a non-empty string")
+        assert fused[1].startswith(f"{path}:{len(self.rows()) + 1}: {message}")
+
+    @pytest.mark.parametrize(
+        "attribute, written, row_reads",
+        [("a.b", '"axb"', 1), ("größe", '"größe"', 0), ("a\\b", '"a\\b"', 1), ('a"b', '"a"b"', 1)],
+        ids=["dot", "non-ASCII", "backslash", "quote"],
+    )
+    def test_attribute_is_matched_as_text(self, tmp_path, attribute, written, row_reads):
+        """The schema's attribute is a literal in the column reader's check, and
+        one that a canonical line cannot hold raw sends the file to the row path."""
+        schema = AttributeSchema(attribute, COLUMN_SCHEMA.labels)
+        path = tmp_path / "a.jsonl"
+        line = '{"annotator_id": "%s", "item_id": "%s", "attribute": %s, "raw_label": "%s"}\n'
+        path.write_text("".join(line % (a, i, written, label) for a, i, _, label in self.rows()),
+                        encoding="utf-8")
+        with mock.patch.object(storage, "_annotation_rows", wraps=storage._annotation_rows) as rows:
+            fused, staged = fused_and_staged(path, schema)
+        assert fused == staged
+        assert rows.call_count == row_reads + 1  # the staged read is one
 
     @pytest.mark.parametrize("block", [1, 1 << 20], ids=["line blocks", "one block"])
     def test_long_id_takes_the_row_path(self, tmp_path, block):
