@@ -1,6 +1,8 @@
 #!/bin/sh
 # Synthetic end-to-end pipeline: simulate noisy workers, aggregate their
 # votes, and score the consensus against the generated ground truth.
+# Check that the console script exits 1 with an error line when its result
+# cannot be written (stdout on a full device), and 2 for a mistyped flag.
 # Check that the annotations in reverse, with some labels out of vocabulary,
 # read column-wise, aggregate to the same files as a CRLF copy of them, read
 # row by row.
@@ -36,6 +38,30 @@ EOF
 labelvote simulate --items 20000 --labels low,mid,high --workers "$out/workers.json" --seed 1 --out "$out/annotations.jsonl" --truth-out "$out/truth.jsonl"
 labelvote aggregate --input "$out/annotations.jsonl" --attribute attr --labels low,mid,high --out "$out/predictions.jsonl" --weights-out "$out/weights.json"
 labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+
+# The console script flushes stdout itself before it exits without the
+# interpreter's teardown: a result that cannot be written is an I/O failure,
+# exit 1 with an error line, not Python's exit 120. Unbuffered, the write
+# itself would fail inside the command, so the check clears PYTHONUNBUFFERED.
+if [ -e /dev/full ]; then
+  set +e
+  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl" > /dev/full 2> "$out/full.err"
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ] || ! grep -q '^error: ' "$out/full.err"; then
+    echo "pipeline: evaluate onto a full device exited $status, not 1 with an error line: $(cat "$out/full.err")" >&2
+    exit 1
+  fi
+fi
+# A mistyped flag is a usage error: exit 2.
+set +e
+labelvote evaluate --predictions "$out/predictions.jsonl" --truht "$out/truth.jsonl" 2> "$out/mistyped.err"
+status=$?
+set -e
+if [ "$status" -ne 2 ]; then
+  echo "pipeline: evaluate with a mistyped flag exited $status, not 2: $(cat "$out/mistyped.err")" >&2
+  exit 1
+fi
 
 # aggregate reads a canonical file column-wise, and a CRLF copy of it row by
 # row: both must write the same predictions and weights. The lines go in

@@ -122,35 +122,52 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from operator import eq, itemgetter
+    from operator import eq
 
-    from .jsonl import _canon, read_prediction_rows
-
-    predicted = read_prediction_rows(args.predictions)
-    actual = read_prediction_rows(args.truth)
-    ids, attributes, labels = itemgetter(0), itemgetter(1), itemgetter(2)
-    by_id = dict(zip(map(ids, predicted), map(labels, predicted)))
-    truth = dict(zip(map(ids, actual), map(labels, actual)))
-    for name, rows, by_item in (("predictions", predicted, by_id), ("truth", actual, truth)):
-        if len(by_item) != len(rows):
-            raise ValueError(f"duplicate item ids in {name} file")
-    # A truth item with no prediction got no usable annotation: it abstains.
-    if not by_id.keys() <= truth.keys():
-        raise ValueError("item-id mismatch: predictions name items not in the truth file")
-    if predicted and set(map(attributes, predicted)) != set(map(attributes, actual)):
-        raise ValueError("attribute mismatch between predictions and truth")
-    if None in truth.values():
-        raise ValueError("truth file contains null labels")
-
-    if not actual:
-        raise ValueError("truth file lists no items")
+    from .jsonl import _canon, prediction_columns
 
     # Labels match trim- and case-insensitively; abstentions, missing items
     # and labels outside the truth vocabulary count as wrong.
-    canon = {label: _canon(label) for label in {*by_id.values(), *truth.values()} - {None}}
-    guesses = map(canon.get, map(by_id.get, truth))  # None where it abstains or is missing
-    right = sum(map(eq, guesses, map(canon.__getitem__, truth.values())))
-    print(f"{right / len(actual):.4f}")
+    canon = {None: None}
+
+    def columns(path):
+        """The file's blocks of columns, each block's new labels put in ``canon``."""
+        for block in prediction_columns(path):
+            new = set(block[2]).difference(canon)
+            canon.update(zip(new, map(_canon, new)))
+            yield block
+
+    # Only the predictions map and the truth ids are kept; the truth file is
+    # scored as it streams, and every check waits until both files are read.
+    by_id, predicted_attributes, n_predicted = {}, set(), 0
+    for ids, attributes, labels in columns(args.predictions):
+        by_id.update(zip(ids, labels))
+        predicted_attributes.update(attributes)
+        n_predicted += len(ids)
+    truth_ids, truth_attributes, n_truth, null_truth, right = set(), set(), 0, False, 0
+    for ids, attributes, labels in columns(args.truth):
+        truth_ids.update(ids)
+        truth_attributes.update(attributes)
+        n_truth += len(ids)
+        null_truth = null_truth or None in labels
+        guesses = map(canon.__getitem__, map(by_id.get, ids))  # None: abstains or is missing
+        right += sum(map(eq, guesses, map(canon.__getitem__, labels)))
+
+    for name, n_rows, n_ids in (("predictions", n_predicted, len(by_id)),
+                                ("truth", n_truth, len(truth_ids))):
+        if n_ids != n_rows:
+            raise ValueError(f"duplicate item ids in {name} file")
+    # A truth item with no prediction got no usable annotation: it abstains.
+    if not by_id.keys() <= truth_ids:
+        raise ValueError("item-id mismatch: predictions name items not in the truth file")
+    if n_predicted and predicted_attributes != truth_attributes:
+        raise ValueError("attribute mismatch between predictions and truth")
+    if null_truth:
+        raise ValueError("truth file contains null labels")
+
+    if not n_truth:
+        raise ValueError("truth file lists no items")
+    print(f"{right / n_truth:.4f}")
     return EXIT_OK
 
 
@@ -264,5 +281,28 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
 
 
+def run():
+    """``python -m labelvote`` and the console script: exit with ``main``'s code
+    through ``os._exit``, skipping the final GC and module teardown. Every file
+    ``main`` opens is closed before it returns (every writer uses ``with``, and
+    ``extract``'s pool is joined by its ``with``), so only stdio needs a flush.
+    An exception that escapes ``main`` keeps its traceback and exit 1."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors; Python's meaning of code
+        code = 0 if exc.code is None else exc.code
+        if not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = EXIT_FAILURE
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:  # such as a full disk under a redirected stdout
+        code = EXIT_FAILURE
+        print(f"error: {exc}", file=sys.stderr)
+    finally:
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import re
+from itertools import chain
 from typing import Mapping
 
 
@@ -106,6 +107,11 @@ def _read_jsonl(path, make, shape=None):
     rows ``make`` would build), a block that decodes and has a row for
     each line skips the per-line parse.
     """
+    return chain.from_iterable(rows for _, rows in _row_blocks(path, make, shape))
+
+
+def _row_blocks(path, make, shape):
+    """``_read_jsonl``'s rows a block at a time: (read by ``shape``?, rows)."""
     with open(path, "rb") as fh:
         first = 1
         while lines := fh.readlines(_BLOCK):
@@ -113,7 +119,8 @@ def _read_jsonl(path, make, shape=None):
                 rows = shape(b"".join(lines).decode("utf-8")) if shape else ()
             except UnicodeDecodeError:
                 rows = ()
-            yield from rows if len(rows) == len(lines) else _parse_lines(path, lines, first, make)
+            shaped = len(rows) == len(lines)
+            yield shaped, rows if shaped else _parse_lines(path, lines, first, make)
             first += len(lines)
 
 
@@ -131,8 +138,18 @@ def _parse_lines(path, lines, first, make):
             raise ValueError(f"{path}:{line_no}: {exc}") from exc
 
 
+def prediction_columns(path):
+    """A predictions (or ground-truth) JSONL file a block at a time, as its
+    (item_ids, attributes, labels) columns, checked as ``PredictionRecord``
+    checks them but building none."""
+    for shaped, rows in _row_blocks(path, _row(_PREDICTION_RULES), _PREDICTION_SHAPE.findall):
+        ids, attributes, labels = zip(*rows)
+        # The shape reads null as "", which it never reads as a value.
+        if shaped and "" in labels:
+            labels = tuple(label or None for label in labels)
+        yield ids, attributes, labels
+
+
 def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
-    """A predictions (or ground-truth) JSONL file as (item_id, attribute, label)
-    tuples, checked as ``PredictionRecord`` checks them but building none."""
-    shape = lambda text: [(i, a, label or None) for i, a, label in _PREDICTION_SHAPE.findall(text)]
-    return list(_read_jsonl(path, _row(_PREDICTION_RULES), shape))
+    """``prediction_columns`` as (item_id, attribute, label) tuples."""
+    return list(chain.from_iterable(zip(*columns) for columns in prediction_columns(path)))

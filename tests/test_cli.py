@@ -1,16 +1,21 @@
 """End-to-end runs of the labelvote command-line interface."""
 
+import errno
 import json
 import os
 import subprocess
 import sys
+from operator import eq, itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from labelvote import (
     AnnotationRecord, read_annotations, read_predictions, read_weights,
 )
+from labelvote import jsonl
 from labelvote.cli import main
 
 THREE_BY_FOUR = [
@@ -380,6 +385,73 @@ class TestEvaluate:
                 hits[record.annotator_id] = hits.get(record.annotator_id, 0) + 1
         best_single = max(hits[a] / totals[a] for a in totals)
         assert ensemble_accuracy > best_single
+
+
+def row_wise_evaluate(predictions, truth):
+    """``cmd_evaluate`` as it was before it streamed, reading each file whole as
+    rows through the per-line ``json.loads`` path: its stdout, or it raises."""
+    read = lambda path: list(jsonl._read_jsonl(path, jsonl._row(jsonl._PREDICTION_RULES)))
+    predicted, actual = read(predictions), read(truth)
+    ids, attributes, labels = itemgetter(0), itemgetter(1), itemgetter(2)
+    by_id = dict(zip(map(ids, predicted), map(labels, predicted)))
+    truth = dict(zip(map(ids, actual), map(labels, actual)))
+    for name, rows, by_item in (("predictions", predicted, by_id), ("truth", actual, truth)):
+        if len(by_item) != len(rows):
+            raise ValueError(f"duplicate item ids in {name} file")
+    if not by_id.keys() <= truth.keys():
+        raise ValueError("item-id mismatch: predictions name items not in the truth file")
+    if predicted and set(map(attributes, predicted)) != set(map(attributes, actual)):
+        raise ValueError("attribute mismatch between predictions and truth")
+    if None in truth.values():
+        raise ValueError("truth file contains null labels")
+    if not actual:
+        raise ValueError("truth file lists no items")
+    canon = {label: jsonl._canon(label) for label in {*by_id.values(), *truth.values()} - {None}}
+    guesses = map(canon.get, map(by_id.get, truth))
+    right = sum(map(eq, guesses, map(canon.__getitem__, truth.values())))
+    return f"{right / len(actual):.4f}\n"
+
+
+# Ids with a quote escape in JSON; labels null, "" (never in the writers' line
+# shape, so on the per-line path), blank, and equal to another after trim and casefold.
+EVALUATE_IDS = ["p1", "p2", "p3", "p4", 'say "p5"']
+EVALUATE_LABELS = ["a", "b", "A ", "c", 'say "a"', "", " ", None]
+
+
+@st.composite
+def evaluate_file(draw, ids):
+    """A predictions or truth file over some of ``ids``: (its bytes, the ids it names)."""
+    named = draw(st.lists(st.sampled_from(ids), max_size=8, unique=draw(st.booleans())))
+    lines = []
+    for item in named:
+        attribute = draw(st.sampled_from(["attr"] * 9 + ["size"]))
+        label = draw(st.sampled_from(EVALUATE_LABELS))
+        line = json.dumps({"item_id": item, "attribute": attribute, "label": label})
+        lines.append(line + draw(st.sampled_from(["\n"] * 4 + ["\r\n"])))
+    return "".join(lines).encode("utf-8"), named
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data(), block=st.integers(1, 150))
+def test_streaming_evaluate_matches_the_row_wise_one(tmp_path, capsys, data, block):
+    # Blocks of ~block bytes split the files mid-way, so one file mixes blocks the
+    # writers' line shape reads (null read as "") with blocks read line by line.
+    truth_bytes, truth_ids = data.draw(evaluate_file(EVALUATE_IDS))
+    # Mostly ids of the truth file, sometimes one it lacks.
+    pool = truth_ids + data.draw(st.lists(st.sampled_from(EVALUATE_IDS), max_size=1))
+    predictions_bytes, _ = data.draw(evaluate_file(pool or ["p1"]))
+    predictions, truth = tmp_path / "p.jsonl", tmp_path / "t.jsonl"
+    predictions.write_bytes(predictions_bytes)
+    truth.write_bytes(truth_bytes)
+    try:
+        expected = (0, row_wise_evaluate(predictions, truth), "")
+    except ValueError as exc:
+        expected = (2, "", f"error: {exc}\n")
+    with mock.patch.object(jsonl, "_BLOCK", block):
+        code = main(["evaluate", "--predictions", str(predictions), "--truth", str(truth)])
+    assert (code, *capsys.readouterr()) == expected
 
 
 class TestExtract:
@@ -984,13 +1056,115 @@ def test_tol_is_accepted_and_ignored(tmp_path):
     assert len(set(outputs)) == 1
 
 
-def run_python_on_src(*args):
-    """Run a child interpreter that imports labelvote from this checkout."""
+def run_python_on_src(*args, stdout=subprocess.PIPE, unset=()):
+    """Run a child interpreter that imports labelvote from this checkout,
+    without the environment variables ``unset``."""
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for name in unset:
+        env.pop(name, None)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=60,
+    )
+
+
+# Each subcommand's success, exit-2 input error and exit-1 I/O error; --help; an unknown flag.
+ENTRY_POINT_CODES = {
+    "simulate ok": 0, "simulate invalid": 2, "simulate unreadable": 1,
+    "aggregate ok": 0, "aggregate invalid": 2, "aggregate unreadable": 1,
+    "evaluate ok": 0, "evaluate invalid": 2, "evaluate unreadable": 1,
+    "extract ok": 0, "extract invalid": 2, "extract unreadable": 1,
+    "--help": 0, "unknown flag": 2,
+}
+
+
+def entry_point_argv(tmp_path, case):
+    """The argv of ``case`` of ``ENTRY_POINT_CODES``, its inputs written to ``tmp_path``."""
+    annotations, conflicting = tmp_path / "annotations.jsonl", tmp_path / "conflicting.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    write_annotation_lines(conflicting, [("a1", "p1", "a"), ("a1", "p1", "b")])
+    truth, other = tmp_path / "truth.jsonl", tmp_path / "other.jsonl"
+    for path, item in ((truth, "p1"), (other, "p9")):
+        path.write_text(json.dumps({"item_id": item, "attribute": "attr", "label": "a"}) + "\n",
+                        encoding="utf-8")
+    workers, providers = tmp_path / "workers.json", tmp_path / "providers.json"
+    workers.write_text(json.dumps(TABLE_WORKERS), encoding="utf-8")
+    providers.write_text(json.dumps([MOCK]), encoding="utf-8")
+    bad_providers = tmp_path / "bad-providers.json"
+    bad_providers.write_text(json.dumps([{**MOCK, "delay": "x"}]), encoding="utf-8")
+    products = tmp_path / "products.jsonl"
+    products.write_text(json.dumps({"item_id": "p1", "title": "Socks"}) + "\n", encoding="utf-8")
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out.jsonl")
+    schema = ["--attribute", "attr", "--labels", "a,b"]
+    simulate = ["simulate", "--labels", "a,b", "--seed", "1", "--out", out]
+    aggregate = ["aggregate", *schema, "--out", out]
+    evaluate = ["evaluate", "--predictions", str(truth)]
+    extract = ["extract", *schema, "--out", out]
+    return {
+        "simulate ok": [*simulate, "--items", "30", "--workers", str(workers),
+                        "--truth-out", str(tmp_path / "truth-out.jsonl")],
+        "simulate invalid": [*simulate, "--items", "0", "--workers", str(workers)],
+        "simulate unreadable": [*simulate, "--items", "30", "--workers", missing],
+        "aggregate ok": [*aggregate, "--input", str(annotations),
+                         "--weights-out", str(tmp_path / "weights.json")],
+        "aggregate invalid": [*aggregate, "--input", str(conflicting)],
+        "aggregate unreadable": [*aggregate, "--input", missing],
+        "evaluate ok": [*evaluate, "--truth", str(truth)],
+        "evaluate invalid": [*evaluate, "--truth", str(other)],
+        "evaluate unreadable": [*evaluate, "--truth", missing],
+        "extract ok": [*extract, "--products", str(products), "--providers", str(providers)],
+        "extract invalid": [*extract, "--products", str(products),
+                            "--providers", str(bad_providers)],
+        "extract unreadable": [*extract, "--products", missing, "--providers", str(providers)],
+        "--help": ["--help"],
+        "unknown flag": [*evaluate, "--truth", str(truth), "--bogus"],
+    }[case]
+
+
+@pytest.mark.parametrize("case, expected_code", ENTRY_POINT_CODES.items())
+def test_module_entry_point_matches_main(tmp_path, capsys, monkeypatch, case, expected_code):
+    # `python -m labelvote` exits through cli.run; in process, main returns the code
+    # (or argparse raises SystemExit). Both must give the same code, streams and files.
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps --help to the terminal's width
+    argv = entry_point_argv(tmp_path, case)
+    outputs = [Path(argv[k + 1]) for k, flag in enumerate(argv) if flag.endswith("out")]
+
+    def take_outputs():
+        """Each output file's bytes, or None where none was written; then delete them."""
+        contents = [path.read_bytes() if path.exists() else None for path in outputs]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        return contents
+
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    in_process = (code, captured.out, captured.err, take_outputs())
+    child = run_python_on_src("-m", "labelvote", *argv)
+    assert (child.returncode, child.stdout, child.stderr, take_outputs()) == in_process
+    assert code == expected_code
+    written = [content is not None for content in in_process[3]]
+    assert written == [code == 0] * len(outputs)
+    if case == "--help":
+        assert captured.out.startswith("usage: labelvote ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_stdout_flush_exits_1(tmp_path):
+    # A buffered stdout on a full device fails only when it is flushed, after main returns.
+    truth = tmp_path / "truth.jsonl"
+    truth.write_text(
+        json.dumps({"item_id": "p1", "attribute": "attr", "label": "a"}) + "\n", encoding="utf-8"
+    )
+    argv = ["-m", "labelvote", "evaluate", "--predictions", str(truth), "--truth", str(truth)]
+    with open("/dev/full", "w") as full:
+        result = run_python_on_src(*argv, stdout=full, unset=["PYTHONUNBUFFERED"])
+    assert (result.returncode, result.stderr) == (
+        1, f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
     )
 
 

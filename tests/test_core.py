@@ -3,6 +3,7 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +15,10 @@ from labelvote import (
     ProductText,
     build_matrix,
     encode_label,
+    write_annotations,
 )
 from labelvote import schema as schema_module
+from labelvote.core import _read_canonical
 
 from conftest import random_sparse_rows
 
@@ -314,6 +317,23 @@ class TestAnnotationMatrix:
         matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})
         with pytest.raises(ValueError):
             matrix.labels[0] = 2
+
+    def test_columns_are_intp_from_every_source(self, gender_schema, tmp_path):
+        # The sort keys items * n and items * n_labels would overflow a narrower integer.
+        records = [rec("a1", "p1", "male"), rec("a2", "p1", "female"), rec("a1", "p2", "unisex")]
+        path = tmp_path / "a.jsonl"
+        write_annotations(path, records)
+        narrow = tuple(np.array(c, dtype=t) for c, t in
+                       (([0, 1], np.int8), ([1, 0], np.int32), ([2, 3], np.uint8)))
+        matrices = {
+            "mapping": AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1", "p2"], {(0, 1): 2}),
+            "narrow columns": AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1", "p2"], narrow),
+            "build_matrix": build_matrix(gender_schema, records),
+            "_read_canonical": _read_canonical(path, gender_schema),
+        }
+        for source, matrix in matrices.items():
+            dtypes = {matrix.annotators.dtype, matrix.items.dtype, matrix.labels.dtype}
+            assert dtypes == {np.dtype(np.intp)}, source
 
 
 class TestAnnotationRecord:
