@@ -52,6 +52,16 @@ if [ -e /dev/full ]; then
     echo "pipeline: evaluate onto a full device exited $status, not 1 with an error line: $(cat "$out/full.err")" >&2
     exit 1
   fi
+  # An input error (exit 2) whose error line cannot be written to stderr is an
+  # I/O failure as well: exit 1, not 120.
+  set +e
+  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/workers.json" 2> /dev/full
+  status=$?
+  set -e
+  if [ "$status" -ne 1 ]; then
+    echo "pipeline: evaluate with an input error and stderr on a full device exited $status, not 1" >&2
+    exit 1
+  fi
 fi
 # A mistyped flag is a usage error: exit 2.
 set +e

@@ -15,7 +15,7 @@ _MODULE = {  # name -> defining module
         "core": "AnnotationMatrix build_matrix",
         "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
         "render_prompt",
-        "jsonl": "read_prediction_rows",
+        "jsonl": "prediction_columns",
         "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
         "ProviderRejectedError ProviderRequestError load_providers make_provider",
         "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "

@@ -286,14 +286,13 @@ def run():
     through ``os._exit``, skipping the final GC and module teardown. Every file
     ``main`` opens is closed before it returns (every writer uses ``with``, and
     ``extract``'s pool is joined by its ``with``), so only stdio needs a flush.
-    An exception that escapes ``main`` keeps its traceback and exit 1."""
+    An OSError from ``main`` is exit 1; any other exception keeps its traceback and exit 1."""
     try:
         code = main()
-    except SystemExit as exc:  # argparse's --help and usage errors; Python's meaning of code
-        code = 0 if exc.code is None else exc.code
-        if not isinstance(code, int):
-            print(code, file=sys.stderr)
-            code = EXIT_FAILURE
+    except SystemExit as exc:  # argparse's --help (0) and usage errors (2)
+        code = exc.code
+    except OSError:  # main's own error line, on an unwritable stderr
+        code = EXIT_FAILURE
     try:
         sys.stdout.flush()
         sys.stderr.flush()

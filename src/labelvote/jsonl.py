@@ -148,8 +148,3 @@ def prediction_columns(path):
         if shaped and "" in labels:
             labels = tuple(label or None for label in labels)
         yield ids, attributes, labels
-
-
-def read_prediction_rows(path) -> list[tuple[str, str, str | None]]:
-    """``prediction_columns`` as (item_id, attribute, label) tuples."""
-    return list(chain.from_iterable(zip(*columns) for columns in prediction_columns(path)))

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .jsonl import (
     _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
-    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _row, _rules, read_prediction_rows,
+    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _row, _rules, prediction_columns,
 )
 from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _Checked
 
@@ -186,7 +186,7 @@ def write_predictions(
 
 def read_predictions(path) -> list[PredictionRecord]:
     """Read a predictions (or ground-truth) JSONL file, preserving order."""
-    return [PredictionRecord(*row) for row in read_prediction_rows(path)]
+    return [PredictionRecord(*row) for block in prediction_columns(path) for row in zip(*block)]
 
 
 def read_products(path) -> list[ProductText]:

@@ -1056,7 +1056,7 @@ def test_tol_is_accepted_and_ignored(tmp_path):
     assert len(set(outputs)) == 1
 
 
-def run_python_on_src(*args, stdout=subprocess.PIPE, unset=()):
+def run_python_on_src(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unset=()):
     """Run a child interpreter that imports labelvote from this checkout,
     without the environment variables ``unset``."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -1065,7 +1065,7 @@ def run_python_on_src(*args, stdout=subprocess.PIPE, unset=()):
     for name in unset:
         env.pop(name, None)
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True,
         timeout=60,
     )
 
@@ -1168,6 +1168,23 @@ def test_a_failed_stdout_flush_exits_1(tmp_path):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("truth_name, code", [("missing.jsonl", 1), ("other.jsonl", 2)],
+                         ids=["unreadable", "invalid"])
+def test_an_unwritable_error_line_exits_1(tmp_path, truth_name, code):
+    # main's own error line fails on a full stderr; that is an I/O failure too, not exit 120.
+    for name, attribute in (("predictions.jsonl", "attr"), ("other.jsonl", "other")):
+        row = {"item_id": "p1", "attribute": attribute, "label": "a"}
+        (tmp_path / name).write_text(json.dumps(row) + "\n", encoding="utf-8")
+    argv = ["-m", "labelvote", "evaluate", "--predictions", str(tmp_path / "predictions.jsonl"),
+            "--truth", str(tmp_path / truth_name)]
+    result = run_python_on_src(*argv, unset=["PYTHONUNBUFFERED"])
+    assert (result.returncode, result.stderr.startswith("error: ")) == (code, True)
+    with open("/dev/full", "w") as full:
+        result = run_python_on_src(*argv, stderr=full, unset=["PYTHONUNBUFFERED"])
+    assert result.returncode == 1
+
+
 def test_benchmark_selftest_passes():
     # perfbench/selftest.py runs each workload at 1/200 size, end to end and traced,
     # and checks every output, every metric BENCHMARK.json names and the tracer's
@@ -1214,7 +1231,7 @@ def test_import_leaves_http_stack_unloaded():
 
 def test_prediction_rows_import_loads_no_storage_and_no_dataclass():
     probe = (
-        "import sys; from labelvote import read_prediction_rows; "
+        "import sys; from labelvote import prediction_columns; "
         "print(sorted(m for m in sys.modules if m.startswith('labelvote.')), "
         "'dataclasses' in sys.modules)"
     )
@@ -1329,7 +1346,7 @@ EXPORTS = {
     "core": "AnnotationMatrix build_matrix",
     "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
     "render_prompt",
-    "jsonl": "read_prediction_rows",
+    "jsonl": "prediction_columns",
     "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
     "ProviderRejectedError ProviderRequestError load_providers make_provider",
     "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "

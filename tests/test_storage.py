@@ -22,7 +22,6 @@ from labelvote import (
     build_matrix,
     read_annotations,
     read_matrix,
-    read_prediction_rows,
     read_predictions,
     read_products,
     read_weights,
@@ -611,6 +610,11 @@ def strict_outcome(read, *args):
         return read_outcome(read, *args)
 
 
+def prediction_rows(path):
+    """A predictions file's (item_id, attribute, label) rows, by ``jsonl.prediction_columns``."""
+    return [row for block in jsonl.prediction_columns(path) for row in zip(*block)]
+
+
 def annotation_line(n, label="x", item=None):
     row = dict(zip(FIELDS, (f"a{n % 7}", item or f"p{n}", "g", label)))
     return json.dumps(row, ensure_ascii=False) + "\n"
@@ -728,7 +732,7 @@ class TestBlocks:
                     for row in rows),
             encoding="utf-8",
         )
-        assert read_prediction_rows(path) == rows
+        assert prediction_rows(path) == rows
         assert read_predictions(path) == strict_outcome(read_predictions, path)
         canonical = [row for row in rows if row[2] is None or (row[2] and row[2].strip())]
         path.write_text(
@@ -737,7 +741,7 @@ class TestBlocks:
             encoding="utf-8",
         )
         with mock.patch.object(jsonl, "_parse_lines", wraps=jsonl._parse_lines) as slow:
-            assert read_prediction_rows(path) == canonical
+            assert prediction_rows(path) == canonical
         assert slow.call_count == 0
 
 
@@ -792,7 +796,7 @@ def jsonl_files(draw, fields):
 
 @pytest.mark.parametrize(
     "fields, read",
-    [(FIELDS, read_annotations), (("item_id", "attribute", "label"), read_prediction_rows)],
+    [(FIELDS, read_annotations), (("item_id", "attribute", "label"), prediction_rows)],
     ids=["annotations", "predictions"],
 )
 @settings(
