@@ -8,8 +8,8 @@
 # row by row.
 # Check that the installed package runs --help with no package module but
 # its command-line one, and --help and evaluate without numpy; evaluate
-# loads the JSONL reader but not the records of storage and schema, and
-# aggregate does not load numpy.ma.
+# loads the JSONL reader but not the records of storage, and aggregate does
+# not load numpy.ma.
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
@@ -44,30 +44,21 @@ labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.js
 # exit 1 with an error line, not Python's exit 120. Unbuffered, the write
 # itself would fail inside the command, so the check clears PYTHONUNBUFFERED.
 if [ -e /dev/full ]; then
-  set +e
-  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl" > /dev/full 2> "$out/full.err"
-  status=$?
-  set -e
+  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl" > /dev/full 2> "$out/full.err" && status=0 || status=$?
   if [ "$status" -ne 1 ] || ! grep -q '^error: ' "$out/full.err"; then
     echo "pipeline: evaluate onto a full device exited $status, not 1 with an error line: $(cat "$out/full.err")" >&2
     exit 1
   fi
   # An input error (exit 2) whose error line cannot be written to stderr is an
   # I/O failure as well: exit 1, not 120.
-  set +e
-  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/workers.json" 2> /dev/full
-  status=$?
-  set -e
+  env -u PYTHONUNBUFFERED labelvote evaluate --predictions "$out/predictions.jsonl" --truth "$out/workers.json" 2> /dev/full && status=0 || status=$?
   if [ "$status" -ne 1 ]; then
     echo "pipeline: evaluate with an input error and stderr on a full device exited $status, not 1" >&2
     exit 1
   fi
 fi
 # A mistyped flag is a usage error: exit 2.
-set +e
-labelvote evaluate --predictions "$out/predictions.jsonl" --truht "$out/truth.jsonl" 2> "$out/mistyped.err"
-status=$?
-set -e
+labelvote evaluate --predictions "$out/predictions.jsonl" --truht "$out/truth.jsonl" 2> "$out/mistyped.err" && status=0 || status=$?
 if [ "$status" -ne 2 ]; then
   echo "pipeline: evaluate with a mistyped flag exited $status, not 2: $(cat "$out/mistyped.err")" >&2
   exit 1
@@ -112,8 +103,8 @@ imports_none_of() {
     exit 1
   fi
 }
-imports_none_of 'numpy|labelvote\.(jsonl|storage|schema|extract|providers)' --help
-imports_none_of 'numpy|labelvote\.(storage|schema)' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
+imports_none_of 'numpy|labelvote\.(jsonl|storage|extract|providers)' --help
+imports_none_of 'numpy|labelvote\.storage' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
 # aggregate reads the 20k annotations column-wise in numpy. It interns ids with
 # argsort, not np.unique, whose byte-string path imports numpy.ma: some 20 ms
 # of a run that loads nothing else of it.
@@ -168,10 +159,7 @@ grep -qF 'warning: provider down: giving up after 1 attempt(s)' "$out/failing-pr
 # file and the entry, and no output file.
 echo '[{"kind": "mock", "provider_id": "m1", "delay": "x"}]' > "$out/bad-providers.json"
 rm -f "$out/bad-extracted.jsonl"
-set +e
-labelvote extract --products "$out/products.jsonl" $schema --providers "$out/bad-providers.json" --out "$out/bad-extracted.jsonl" 2> "$out/bad-providers.err"
-status=$?
-set -e
+labelvote extract --products "$out/products.jsonl" $schema --providers "$out/bad-providers.json" --out "$out/bad-extracted.jsonl" 2> "$out/bad-providers.err" && status=0 || status=$?
 if [ "$status" -ne 2 ] || [ -e "$out/bad-extracted.jsonl" ]; then
   echo "pipeline: extract with a mistyped provider option exited $status, not 2, or wrote output" >&2
   exit 1
@@ -189,10 +177,7 @@ cat > "$out/repeated-workers.json" <<'EOF'
 ]
 EOF
 rm -f "$out/repeated.jsonl"
-set +e
-labelvote simulate --items 10 --labels low,mid,high --workers "$out/repeated-workers.json" --seed 1 --out "$out/repeated.jsonl" 2> "$out/repeated-workers.err"
-status=$?
-set -e
+labelvote simulate --items 10 --labels low,mid,high --workers "$out/repeated-workers.json" --seed 1 --out "$out/repeated.jsonl" 2> "$out/repeated-workers.err" && status=0 || status=$?
 if [ "$status" -ne 2 ] || [ -e "$out/repeated.jsonl" ]; then
   echo "pipeline: simulate with a repeated worker id exited $status, not 2, or wrote output" >&2
   exit 1
@@ -204,10 +189,7 @@ grep -qF 'repeated-workers.json: worker #2: ' "$out/repeated-workers.err" || {
 
 # Two outputs of one run on one file are invalid input too: exit 2, no file.
 rm -f "$out/same.jsonl"
-set +e
-labelvote simulate --items 10 --labels low,mid,high --workers "$out/workers.json" --seed 1 --out "$out/same.jsonl" --truth-out "$out/same.jsonl"
-status=$?
-set -e
+labelvote simulate --items 10 --labels low,mid,high --workers "$out/workers.json" --seed 1 --out "$out/same.jsonl" --truth-out "$out/same.jsonl" && status=0 || status=$?
 if [ "$status" -ne 2 ] || [ -e "$out/same.jsonl" ]; then
   echo "pipeline: simulate with --out and --truth-out on one file exited $status, not 2, or wrote output" >&2
   exit 1

@@ -18,11 +18,10 @@ _MODULE = {  # name -> defining module
         "jsonl": "prediction_columns",
         "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
         "ProviderRejectedError ProviderRequestError load_providers make_provider",
-        "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
-        "encode_label",
         "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
         "simulate_annotations",
-        "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "
+        "storage": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel PredictionRecord "
+        "ProductText WeightsReport encode_label read_annotations read_matrix read_predictions "
         "read_products read_weights write_annotations write_matrix write_predictions "
         "write_weights",
     }.items()

@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import AnnotationMatrix
-from .schema import ExtendedLabel, _Checked, _rules
+from .jsonl import _rules
+from .storage import ExtendedLabel, _Checked
 
 IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
 

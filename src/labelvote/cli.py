@@ -29,7 +29,6 @@ def _schema_from_args(args):
     """
     from . import storage
     from .jsonl import _row, _rules
-    from .schema import AttributeSchema
 
     labels = args.labels and [l.strip() for l in args.labels.split(",")]
     attribute = args.attribute
@@ -39,7 +38,7 @@ def _schema_from_args(args):
         def schema_file(document):
             attribute, labels = _row(rules)(document)
             if not args.labels:  # the run uses these labels: name the file
-                AttributeSchema(attribute, labels)
+                storage.AttributeSchema(attribute, labels)
             return attribute, labels
 
         file_attribute, file_labels = storage.read_json(args.schema, schema_file)
@@ -53,7 +52,7 @@ def _schema_from_args(args):
         raise ValueError("no label set given: pass --labels or --schema")
     if not attribute:
         raise ValueError("no attribute name given: pass --attribute or --schema")
-    return AttributeSchema(attribute, labels)
+    return storage.AttributeSchema(attribute, labels)
 
 
 def cmd_aggregate(args) -> int:
@@ -301,7 +300,3 @@ def run():
         print(f"error: {exc}", file=sys.stderr)
     finally:
         os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

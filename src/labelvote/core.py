@@ -6,7 +6,7 @@ absent from the arrays is 0, the missing label. ``build_matrix`` builds
 one from records or rows, one at a time; ``_read_canonical`` builds the
 same matrix from an annotation file whose every line has the writers'
 exact shape, column-wise in numpy. The numpy-free schema, label encoding
-and records live in ``schema``.
+and records live in ``storage``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .jsonl import _ANNOTATION_LINE, _TEXT
-from .schema import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
+from .storage import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
 
 
 @dataclass(frozen=True, eq=False)

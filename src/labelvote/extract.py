@@ -23,8 +23,8 @@ from queue import Empty, SimpleQueue
 from typing import Mapping, Sequence
 
 from .jsonl import _canon, _check_fields, _rules
-from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, encode_label
 from .providers import Provider, ProviderError, ProviderRejectedError
+from .storage import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, encode_label
 
 logger = logging.getLogger(__name__)
 _MAX_IN_FLIGHT = _rules(max_in_flight="an integer >= 1")

@@ -19,8 +19,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .jsonl import _check_object, _rules
-from .schema import _Checked
-from .storage import _entries, read_json
+from .storage import _Checked, _entries, read_json
 
 MAX_WAIT_S = 86_400  # one day; sleeps and socket timeouts overflow from about 1e10 s
 # Printable ASCII after the scheme: http.client refuses \x00-\x20 and \x7f in a URL.

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import AnnotationMatrix
-from .schema import AttributeSchema, ExtendedLabel, _Checked, _rules
+from .jsonl import _rules
+from .storage import AttributeSchema, ExtendedLabel, _Checked
 
 
 @dataclass(frozen=True)

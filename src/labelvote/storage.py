@@ -1,32 +1,37 @@
-"""Readers and writers for the interchange files.
+"""The interchange records, and the readers and writers of their files.
 
-Annotations, predictions and products are JSONL (one object per line,
-UTF-8, LF); a weights report is a single JSON document, and so are the
-schema, workers, providers and synonyms files, which go through
-``read_json``. Readers are strict: unknown fields, missing fields, and
-wrong types are errors, never coerced. The JSONL reader lives in ``jsonl``.
+Labels are encoded as small integers: 1..L index into the attribute's
+vocabulary, and 0 is reserved for "missing" (an annotator that never
+labeled the item, or a label outside the vocabulary). Annotations,
+predictions and products are JSONL (one object per line, UTF-8, LF); a
+weights report is a single JSON document, and so are the schema, workers,
+providers and synonyms files, which go through ``read_json``. Readers are
+strict: unknown fields, missing fields, and wrong types are errors, never
+coerced. The JSONL reader and the field-rule checker live in ``jsonl``.
 Only ``read_matrix`` loads numpy, by importing ``core`` when called: it
 reads a file of canonical lines (the writers' exact shape) column-wise
 there, and any other file row by row, to the same matrix and errors.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
-and floats survive a write/read cycle exactly. ``write_matrix`` writes
-one annotator at a time and both JSONL writers join at most ``_CHUNK``
-lines per write; ids and labels must be ``str``.
+and floats survive a write/read cycle exactly. ``write_matrix`` and
+``write_predictions`` join at most ``_CHUNK`` lines per write, and
+``write_annotations`` hands its lines to ``writelines``; ids and labels
+must be ``str``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Sequence
 
 from .jsonl import (
     _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
-    _PREDICTION_RULES, _PREDICTION_TAIL, _read_jsonl, _row, _rules, prediction_columns,
+    _PREDICTION_RULES, _PREDICTION_TAIL, _canon, _check_fields, _check_object, _read_jsonl, _row,
+    _rules, prediction_columns,
 )
-from .schema import AnnotationRecord, AttributeSchema, ExtendedLabel, ProductText, _Checked
 
 if TYPE_CHECKING:
     from .core import AnnotationMatrix
@@ -34,6 +39,107 @@ if TYPE_CHECKING:
 # json.dumps(text, ensure_ascii=False) of a str: the C function its encoder calls.
 _dumps = json.encoder.encode_basestring
 _CHUNK = 1 << 16  # lines joined per write, so the writers' memory stays bounded
+
+# An extended label: 0 = missing, 1..L = position in the vocabulary.
+ExtendedLabel = int
+
+
+class ConflictError(ValueError):
+    """Two annotations for the same (annotator, item) pair disagree."""
+
+
+@dataclass(frozen=True)
+class AttributeSchema:
+    """An attribute name plus its closed, ordered label vocabulary.
+
+    Label names keep the case they were declared with; matching during
+    encoding is trim- and case-insensitive. Encoded indices are 1-based
+    so that 0 stays free for the missing sentinel.
+    """
+
+    attribute_name: str
+    labels: tuple[str, ...]
+    _RULES = _rules(attribute_name="a non-empty string", labels="an array of strings")
+
+    def __init__(self, attribute_name: str, labels: Sequence[str]):
+        labels = labels if isinstance(labels, str) else list(labels)  # one string is no array
+        _check_fields({"attribute_name": attribute_name, "labels": labels}, self._RULES)
+        object.__setattr__(self, "attribute_name", attribute_name.strip())
+        object.__setattr__(self, "labels", tuple(l.strip() for l in labels))
+        if len(self.labels) < 2:
+            raise ValueError("a schema needs at least 2 labels")
+        if any(not l for l in self.labels):
+            raise ValueError("label names must be non-empty")
+        if len({_canon(l) for l in self.labels}) != len(self.labels):
+            raise ValueError(
+                "label names must be distinct after trimming and case-folding"
+            )
+
+    @property
+    def n_labels(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {_canon(l): k for k, l in enumerate(self.labels, start=1)}
+
+
+def encode_label(schema: AttributeSchema, raw: str) -> ExtendedLabel:
+    """Map raw text to its 1-based label index, or 0 if out of vocabulary.
+
+    Matching trims whitespace and case-folds; anything else (synonyms,
+    punctuation stripping) is the caller's job. Unmatched input maps to
+    missing rather than raising: free-text sources routinely produce
+    values outside the vocabulary, and missingness is first-class here.
+    """
+    return schema._index.get(_canon(raw), 0)
+
+
+class _Checked:
+    """Base of a dataclass whose ``_RULES`` table checks its fields when it is built."""
+
+    def __post_init__(self):
+        _check_fields(vars(self), self._RULES)
+
+    @classmethod
+    @cache  # per class: the fields of a dataclass do not change
+    def _required(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls) if f.default is f.default_factory)  # both MISSING
+
+    @classmethod
+    def _from_json(cls, obj):
+        """Build one from a parsed JSON object, naming a missing or unknown field."""
+        _check_object(obj, cls._required(), cls._RULES)
+        return cls(**obj)
+
+
+@dataclass(frozen=True)
+class AnnotationRecord(_Checked):
+    """One annotator's raw label for one item: the interchange unit."""
+
+    annotator_id: str
+    item_id: str
+    attribute: str
+    raw_label: str
+    _RULES = _rules(
+        annotator_id="a non-empty string", item_id="a non-empty string",
+        attribute="a non-empty string", raw_label="a non-empty string",
+    )
+
+    def __iter__(self):
+        """Unpack as the row ``build_matrix`` reads: the four fields in order."""
+        return iter((self.annotator_id, self.item_id, self.attribute, self.raw_label))
+
+
+@dataclass(frozen=True)
+class ProductText(_Checked):
+    """Unstructured text for one item: the extraction input."""
+
+    item_id: str
+    title: str
+    description: str = ""
+    _RULES = _rules(item_id="a non-empty string", title="a non-empty string",
+                    description="a string")
 
 
 @dataclass(frozen=True)

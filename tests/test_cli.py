@@ -1,6 +1,7 @@
 """End-to-end runs of the labelvote command-line interface."""
 
 import errno
+import importlib.util
 import json
 import os
 import subprocess
@@ -1278,9 +1279,9 @@ def test_extract_warnings_are_prefixed_once_per_call(tmp_path):
 SUBCOMMAND_MODULES = {
     "--help": [],
     "evaluate": ["jsonl"],
-    "extract": ["data", "extract", "jsonl", "providers", "schema", "storage"],  # data: the prompt
-    "aggregate": ["aggregate", "core", "jsonl", "schema", "storage"],
-    "simulate": ["core", "jsonl", "schema", "simulate", "storage"],
+    "extract": ["data", "extract", "jsonl", "providers", "storage"],  # data: the prompt
+    "aggregate": ["aggregate", "core", "jsonl", "storage"],
+    "simulate": ["core", "jsonl", "simulate", "storage"],
 }
 
 
@@ -1349,18 +1350,17 @@ EXPORTS = {
     "jsonl": "prediction_columns",
     "providers": "CredentialError HttpProvider MockProvider Provider ProviderError "
     "ProviderRejectedError ProviderRequestError load_providers make_provider",
-    "schema": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel ProductText "
-    "encode_label",
     "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
     "simulate_annotations",
-    "storage": "PredictionRecord WeightsReport read_annotations read_matrix read_predictions "
+    "storage": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel PredictionRecord "
+    "ProductText WeightsReport encode_label read_annotations read_matrix read_predictions "
     "read_products read_weights write_annotations write_matrix write_predictions write_weights",
 }
 
 
 def test_package_exports_resolve_to_their_defining_modules(monkeypatch):
     import labelvote
-    from labelvote import core, schema, storage
+    from labelvote import core, storage
 
     expected = {name: module for module, names in EXPORTS.items() for name in names.split()}
     assert sorted(labelvote.__all__) == sorted(expected)
@@ -1379,4 +1379,4 @@ def test_package_exports_resolve_to_their_defining_modules(monkeypatch):
     with pytest.raises(ImportError):
         exec("from labelvote import no_such_name", {})
     assert storage is sys.modules["labelvote.storage"]
-    assert schema is sys.modules["labelvote.schema"]
+    assert importlib.util.find_spec("labelvote.schema") is None  # no re-export module

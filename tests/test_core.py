@@ -17,7 +17,7 @@ from labelvote import (
     encode_label,
     write_annotations,
 )
-from labelvote import schema as schema_module
+from labelvote import storage
 from labelvote.core import _read_canonical
 
 from conftest import random_sparse_rows
@@ -368,7 +368,7 @@ def test_required_fields_are_listed_once_per_class():
     assert AnnotationRecord._required() == ("annotator_id", "item_id", "attribute", "raw_label")
     assert ProductText._required() == ("item_id", "title")
     row = dict(zip(AnnotationRecord._required(), ("a1", "p1", "g", "x")))
-    with mock.patch.object(schema_module, "fields", side_effect=AssertionError):
+    with mock.patch.object(storage, "fields", side_effect=AssertionError):
         assert AnnotationRecord._from_json(row) == AnnotationRecord("a1", "p1", "g", "x")
         assert ProductText._from_json({"item_id": "p1", "title": "Socks"}).description == ""
         with pytest.raises(ValueError, match="^missing field\\(s\\) title$"):
