@@ -20,8 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .jsonl import _ANNOTATION_LINE, _TEXT
+from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL, _TEXT
 from .storage import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
+from .storage import _dumps
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,6 +238,9 @@ def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _COLUMN_BLOCK = 1 << 20  # bytes read at a time, cut at the last LF
 _SPREAD = 4  # a fixed-width column may take at most this many times the bytes it came from
+# The UTF-8 first bytes of the characters str.strip() strips, but the controls:
+# only a value that is empty or starts with one of them can be blank.
+_BLANK_LEADS = np.isin(np.arange(256), list(b" \xc2\xe1\xe2\xe3"))
 
 
 class _NotCanonical(Exception):
@@ -252,13 +256,17 @@ def _read_canonical(path, schema: AttributeSchema) -> AnnotationMatrix | None:
     value's bytes to a fixed width unambiguously."""
     if not re.fullmatch(_TEXT, schema.attribute_name):
         return None  # it holds '"', '\' or a control character, never raw in a line
-    value, attribute = f'"{_TEXT}"', f'"{re.escape(schema.attribute_name)}"'
-    canonical = re.compile(f"(?:{_ANNOTATION_LINE}\n)*" % (value, value, attribute, value))
+    # The writers' line with NUL for each value's text: the four pieces around them.
+    line = _ANNOTATION_HEAD % '"\0"' + '"\0"' + _ANNOTATION_TAIL % (
+        _dumps(schema.attribute_name), '"\0"')
+    pieces = [np.frombuffer(piece, np.uint8) for piece in line.encode().split(b"\0")]
+    # (code, UTF-8) of labels a line can hold raw; numpy's compare ignores trailing NULs.
+    spelled = [(k, s.encode()) for k, s in enumerate(schema.labels, 1) if re.fullmatch(_TEXT, s)]
     columns: tuple[list, list, list] = ([], [], [])  # annotators, items, labels of kept rows
     try:
         with open(path, "rb") as fh:
             for block in _blocks(fh):
-                for parts, column in zip(columns, _block_columns(block, canonical, schema)):
+                for parts, column in zip(columns, _block_columns(block, pieces, spelled, schema)):
                     parts.append(column)
             size = fh.tell()
         annotators, annotator_ids = _intern_ids(columns[0], size)
@@ -283,32 +291,57 @@ def _blocks(fh):
         yield rest + b"\n"
 
 
-def _block_columns(block: bytearray, canonical: re.Pattern, schema: AttributeSchema):
+def _block_columns(block: bytearray, pieces: list, spelled: list, schema: AttributeSchema):
     """The annotator, item and label columns of one block's in-vocabulary rows:
-    the ids as fixed-width bytes, the labels encoded."""
-    if not canonical.fullmatch(block.decode("utf-8")):
-        raise _NotCanonical
+    the ids as fixed-width bytes, the labels encoded. A block is canonical when
+    each line holds the four ``pieces`` at its quotes and LF, in their bytes,
+    and its values keep ``jsonl``'s value rule. A label spelled as in
+    ``spelled`` is coded by a compare; only the others are interned."""
+    block.decode("utf-8")
     buf = np.frombuffer(block, dtype=np.uint8)
-    quotes = np.flatnonzero(buf == ord('"')).reshape(-1, 16)
+    quotes = np.flatnonzero(buf == ord('"'))
+    # Each line's LF sits 2 bytes after its last quote, as piece 3 checks below. With
+    # as many control bytes as lines, no value holds a control byte; nor does one hold '\'.
+    if len(quotes) % 16 or b"\\" in block or 16 * np.count_nonzero(buf < 32) != len(quotes):
+        raise _NotCanonical
+    quotes = quotes.reshape(-1, 16)
+    ends = quotes[:, 15] + 2
     starts = quotes[:, 2::4] + 1  # each value's first byte, one column per field
     lengths = quotes[:, 3::4] - starts
     widths = lengths.max(axis=0, initial=1)
-    widest = widths.max()
+    widest = max(widths.max(), *map(len, pieces))
     if len(quotes) * widest > _SPREAD * len(block):
         raise _NotCanonical
-    # Row k of the windows is the widest value's width of bytes from byte k.
+    # Row k of the windows is the widest value's or piece's width of bytes from byte k.
     windows = sliding_window_view(np.append(buf, np.zeros(widest, np.uint8)), widest)
+    # Piece 0 runs from the line's start to quote 2, 1 from 3 to 6, 2 from 7 to 14, 3 from 15
+    # to the LF; each is checked by its length, then by its bytes.
+    opens = (np.append(0, ends[:-1] + 1), quotes[:, 3], quotes[:, 7], quotes[:, 15])
+    for piece, lo, hi in zip(pieces, opens, (quotes[:, 2], quotes[:, 6], quotes[:, 14], ends)):
+        if (hi - lo != len(piece) - 1).any() or (windows[lo, : len(piece)] != piece).any():
+            raise _NotCanonical
+    maybe_blank = (lengths == 0) | _BLANK_LEADS[buf[starts]]
 
     def column(field):
         values = windows[starts[:, field], : widths[field]]
         values[np.arange(widths[field]) >= lengths[:, field, None]] = 0
-        return values.view(f"S{widths[field]}").ravel()
+        values = values.view(f"S{widths[field]}").ravel()
+        if maybe_blank[:, field].any() and not all(
+            value.decode().strip() for value in np.unique(values[maybe_blank[:, field]]).tolist()
+        ):
+            raise _NotCanonical
+        return values
 
-    raw, distinct = _intern(column(3))
+    raw = column(3)
+    labels = np.zeros(len(raw), np.min_scalar_type(schema.n_labels))
+    for code, spelling in spelled:
+        labels[raw == spelling] = code
+    rest = np.flatnonzero(labels == 0)  # spelled otherwise: interned and encoded
+    raw, distinct = _intern(raw[rest])
     codes = [encode_label(schema, value.decode()) for value in distinct.tolist()]
-    labels = np.array(codes, np.min_scalar_type(schema.n_labels))[raw]
+    labels[rest] = np.array(codes, labels.dtype)[raw]
     keep = labels > 0
-    del raw
+    del raw, rest
     return column(0)[keep], column(1)[keep], labels[keep]
 
 

@@ -87,8 +87,9 @@ _PREDICTION_TAIL = ', "attribute": %s, "label": %s}\n'
 # it is what json.loads returns; a null label leaves the slot's group empty.
 _TEXT = r'(?!\s*")[^"\\\x00-\x1f]*'
 _STRING = f'"({_TEXT})"'
-_ANNOTATION_LINE = re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL[:-1])  # 4 slots, no LF
-_ANNOTATION_SHAPE = re.compile(f"^{_ANNOTATION_LINE}$" % ((_STRING,) * 4), re.M)
+_ANNOTATION_SHAPE = re.compile(
+    "^" + re.escape(_ANNOTATION_HEAD + "%s" + _ANNOTATION_TAIL[:-1]) % ((_STRING,) * 4) + "$", re.M
+)
 _PREDICTION_SHAPE = re.compile(
     "^" + re.escape(_PREDICTION_HEAD + "%s" + _PREDICTION_TAIL[:-1])
     % (_STRING, _STRING, f"(?:{_STRING}|null)") + "$", re.M

@@ -240,6 +240,27 @@ class TestOracleWeights:
             assert low <= gap <= high, (seed, gap)
 
 
+class TestConvergence:
+    """What "fast convergence" covers: iterations to the fixed point over seeds
+    1-10 at 5,000 items, with a cap of 2,000. The paper's five workers took 3 on
+    every seed; the hard crowd (near-chance, spammers and adversaries, 80%
+    missing) took 29-99. The bands leave room around those figures."""
+
+    BANDS = {"dense": (3, 4), "hard": (20, 400)}
+
+    @pytest.mark.parametrize("crowd", list(BANDS))
+    def test_iterations_to_the_fixed_point(self, crowd):
+        workers, missing_rate, n_labels, _ = TestOracleWeights.CROWDS[crowd]
+        low, high = self.BANDS[crowd]
+        schema = AttributeSchema("attr", [f"l{k}" for k in range(1, n_labels + 1)])
+        profiles = [WorkerProfile(w, a, missing_rate) for w, a in workers]
+        for seed in range(1, 11):
+            config = SimulationConfig(5_000, schema, profiles, seed)
+            matrix = simulate_annotations(config, generate_ground_truth(config))
+            state = run_ensemble(matrix, EnsembleConfig(max_iterations=2_000))
+            assert state.converged and low <= state.iterations_run <= high, (seed, state)
+
+
 class TestCorrelatedErrors:
     """Where "outperforms all single LLMs" stops. Li & Yu's bound assumes that
     annotators err independently given the true label; these crowds do not.

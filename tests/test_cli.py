@@ -1198,6 +1198,38 @@ def test_benchmark_selftest_passes():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_bench_ab_runs_an_a_a_pair_and_leaves_the_checkout_as_it_was(tmp_path):
+    # scripts/bench_ab.py checks the base out as a git worktree, runs both trees'
+    # perfbench/run.py and writes BENCH_<rev>.json into its working directory.
+    root = Path(__file__).resolve().parents[1]
+    if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout")
+    status = ["git", "-C", str(root), "status", "--porcelain", "--untracked-files=no"]
+    before = subprocess.run(status, capture_output=True, text=True).stdout
+    worktrees = ["git", "-C", str(root), "worktree", "list", "--porcelain"]
+    listed = subprocess.run(worktrees, capture_output=True, text=True).stdout
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench_ab.py"), "--base", "HEAD", "--tiny",
+         "--pairs", "1", "--workload", "dense-20k", "--seconds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    [bench] = tmp_path.glob("BENCH_*.json")
+    report = json.loads(bench.read_text(encoding="utf-8"))
+    assert {"base", "change", "nproc", "bytecode", "notes", "sets"} <= set(report)
+    assert report["base"] == report["change"] and report["nproc"] == os.cpu_count()
+    assert set(report["notes"]) == {"simulate_rss_mib", "aggregate_rss_mib"}
+    [runs] = report["sets"]
+    assert {"seed", "seconds", "summary", "runs"} <= set(runs)
+    for side in ("base", "change"):
+        [run] = runs["runs"][side]
+        assert run["correct"] and run["failed"] == 0
+        assert set(run["metrics"]["dense-20k"]) >= {"aggregate_s", "aggregate_rss_mib"}
+    assert subprocess.run(status, capture_output=True, text=True).stdout == before
+    assert subprocess.run(worktrees, capture_output=True, text=True).stdout == listed
+
+
 def test_pipeline_script_passes(tmp_path):
     # scripts/pipeline.sh runs every subcommand through a `labelvote` on PATH,
     # checks the --help and evaluate import budgets and serves a local HTTP stub.

@@ -5,12 +5,14 @@ import math
 import operator
 import random
 import re
+import sys
 import threading
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from labelvote import (
     AnnotationMatrix,
@@ -821,14 +823,19 @@ COLUMN_LABELS = ["x", "Y", " z", "X ", "垃"]
 OUT_OF_VOCABULARY = ["w", "kid", "垃圾"]
 ODD_VALUES = ["", " ", "\u3000", "\x85", "\x00", 'say "hi"', "back\\slash", "tab\t"]
 COLUMN_SCHEMA = AttributeSchema("g", ["x", "y", "Z", "垃"])
+# Bytes inserted into a file, or put in place of its bytes: JSON's structure,
+# escapes and control bytes, a character cut short, and blank non-ASCII text.
+BYTE_EDITS = [b'"', b"\\", b"\r", b"\t", b"\x00", b" ", b"{", b"}", b":", b",", b'", "', b'": "',
+              "垃".encode()[:2], "\x85".encode(), "\u3000".encode()]
 
 
 @st.composite
 def annotation_files(draw):
     """Bytes of an annotation file of mostly canonical lines: out-of-vocabulary
     labels on the first lines, agreeing repeats and conflicts, maybe a conflict
-    followed by another attribute, and a share of lines that are not canonical
-    (another attribute, an odd value, ASCII escapes, CRLF)."""
+    followed by another attribute, a share of lines that are not canonical
+    (another attribute, an odd value, ASCII escapes, CRLF), and up to three
+    bytes edits: each inserts, deletes or replaces bytes anywhere."""
     share = draw(st.sampled_from([0, 0, 0, 0.05, 0.2]))
     labels = [OUT_OF_VOCABULARY] * draw(st.integers(0, 3))
     labels += [COLUMN_LABELS + OUT_OF_VOCABULARY] * draw(st.integers(0, 14))
@@ -849,20 +856,40 @@ def annotation_files(draw):
         pair = {"annotator_id": "a1", "item_id": "p1"}
         lines += [json.dumps({**pair, "attribute": attribute, "raw_label": label}) + "\n"
                   for attribute, label in (("g", "x"), ("g", "Y"), ("h", "x"))]
-    text = "".join(lines).encode("utf-8")
+    text = bytearray("".join(lines).encode("utf-8"))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        at, edit = draw(st.integers(0, len(text))), draw(st.sampled_from(["in", "del", "for"]))
+        gone = {"in": 0, "del": draw(st.integers(1, 3)), "for": 1}[edit]
+        text[at : at + gone] = b"" if edit == "del" else draw(st.sampled_from(BYTE_EDITS))
+    text = bytes(text)
     return text.removesuffix(b"\n") if draw(st.integers(0, 3)) == 3 else text
+
+
+CANONICAL_LINE = b'{"annotator_id": "a1", "item_id": "p1", "attribute": "g", "raw_label": "x"}\n'
+# Labels a canonical line never holds raw; numpy's bytes compare would take "x" for "x\x00".
+NEVER_RAW_SCHEMA = AttributeSchema("g", ["x\x00", 'x"y', "x\\y", "Y"])
 
 
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(content=annotation_files(), block=st.integers(1, 300))
-def test_column_reader_matches_the_records_path(tmp_path, content, block):
+@given(content=annotation_files(), block=st.integers(1, 300),
+       schema=st.sampled_from([COLUMN_SCHEMA, NEVER_RAW_SCHEMA]))
+# A byte of each of the line's four pieces around its values in another byte, and
+# a value that holds a '\' (read as JSON, that is an escape) or a raw TAB.
+@example(content=CANONICAL_LINE.replace(b'id": "a1', b'id", "a1'), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE.replace(b'", "item', b'"; "item'), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE.replace(b'"g", "raw', b'"g": "raw'), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE.replace(b"}", b" "), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE.replace(b"a1", b"a\\\\1"), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE.replace(b"a1", b"a\t1"), block=1, schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE, block=1, schema=NEVER_RAW_SCHEMA)
+def test_column_reader_matches_the_records_path(tmp_path, content, block, schema):
     path = tmp_path / "a.jsonl"
     path.write_bytes(content)
     # Small blocks put an id's first appearance and its repeats in different blocks.
     with mock.patch.object(core, "_COLUMN_BLOCK", block):
-        fused, staged = fused_and_staged(path, COLUMN_SCHEMA)
+        fused, staged = fused_and_staged(path, schema)
     assert fused == staged
 
 
@@ -920,6 +947,12 @@ class TestColumnReader:
         message = ("'utf-8' codec can't decode" if value == self.REFUSED[""]
                    else f"field {FIELDS[field]!r} must be a non-empty string")
         assert fused[1].startswith(f"{path}:{len(self.rows()) + 1}: {message}")
+
+    def test_blank_leads_are_the_first_bytes_of_every_whitespace_character(self):
+        """A value that does not start with one is never blank, and is not decoded."""
+        spaces = [chr(c) for c in range(0x20, sys.maxunicode + 1) if chr(c).isspace()]
+        leads = {space.encode()[0] for space in spaces}
+        assert np.flatnonzero(core._BLANK_LEADS).tolist() == sorted(leads)
 
     @pytest.mark.parametrize(
         "attribute, written, row_reads",
