@@ -43,23 +43,30 @@ class EnsembleState:
     converged: bool
 
 
-def _ballot(items, labels, n_items, n_labels) -> tuple:
-    """The weight-free half of ``_vote``: each vote's score slot, the items with no vote, L."""
-    return items * n_labels + labels - 1, np.bincount(items, minlength=n_items) == 0, n_labels
+def _ballot(counts, items, labels, n_items, n_labels) -> tuple:
+    """The weight-free half of ``_vote``: each annotator's vote count, each
+    vote's label-major score slot, the items with no vote, and the labels'
+    tie ranks, L for label 1 down to 1 for label L. The votes come
+    annotator-major, ``counts[i]`` of them from annotator i."""
+    slots = (labels.astype(np.intp) - 1) * n_items + items
+    ranks = np.arange(n_labels, 0, -1, dtype=np.min_scalar_type(n_labels + 1))[:, None]
+    return counts, slots, np.bincount(items, minlength=n_items) == 0, ranks
 
 
-def _vote(ballot, voter_weights) -> np.ndarray:
+def _vote(ballot, weights: np.ndarray) -> np.ndarray:
     """Weighted plurality label of each item of ``ballot``, 0 where nobody voted.
 
-    The votes come item-major with annotators ascending inside each item,
-    ``voter_weights`` holding each vote's annotator weight. ``np.bincount``
-    adds weights one at a time in input order, so each (item, label)
-    score is summed in annotator order, as a dense loop would, and exact
-    ties come out the same: always to the lowest label index.
+    ``np.bincount`` adds the annotators' weights one vote at a time in input
+    order. An annotator votes once per item, so each (item, label) score is
+    summed in annotator order, as a dense loop would, and exact ties come out
+    the same: to the lowest label, the highest ranked of the labels that hold
+    the item's top score.
     """
-    slots, unvoted, n_labels = ballot
-    scores = np.bincount(slots, weights=voter_weights, minlength=unvoted.size * n_labels)
-    predictions = scores.reshape(unvoted.size, n_labels).argmax(axis=1) + 1
+    counts, slots, unvoted, ranks = ballot
+    scores = np.bincount(slots, np.repeat(weights, counts), len(ranks) * unvoted.size)
+    scores = scores.reshape(len(ranks), -1)
+    top = ((scores == scores.max(axis=0)) * ranks).max(axis=0)
+    predictions = len(ranks) + 1 - top  # in the labels' small dtype, for a fast compare
     predictions[unvoted] = 0
     return predictions
 
@@ -81,9 +88,10 @@ def weighted_vote(
     if not 0 <= item < matrix.n_items:
         raise ValueError(f"item index {item} out of range 0..{matrix.n_items - 1}")
     lo, hi = np.searchsorted(matrix.items, [item, item + 1])
-    ballot = _ballot(matrix.items[lo:hi] - item, matrix.labels[lo:hi], 1, matrix.schema.n_labels)
-    voter_weights = np.asarray(weights, dtype=float)[matrix.annotators[lo:hi]]
-    return int(_vote(ballot, voter_weights)[0])
+    counts = np.bincount(matrix.annotators[lo:hi], minlength=matrix.n_annotators)
+    ballot = _ballot(counts, matrix.items[lo:hi] - item, matrix.labels[lo:hi], 1,
+                     matrix.schema.n_labels)
+    return int(_vote(ballot, np.asarray(weights, dtype=float))[0])
 
 
 def estimate_accuracies(
@@ -100,12 +108,17 @@ def estimate_accuracies(
         raise ValueError(
             f"got {len(predictions)} predictions for {matrix.n_items} items"
         )
-    predicted = np.asarray(predictions, dtype=np.intp)[matrix.items]
-    n = matrix.n_annotators
-    # Weighted counts: a boolean compress of the votes costs more than the count.
-    observed = np.bincount(matrix.annotators, weights=predicted != 0, minlength=n)
-    matches = np.bincount(matrix.annotators, weights=matrix.labels == predicted, minlength=n)
-    chance = np.full(n, 1.0 / matrix.schema.n_labels)
+    counts, items, labels = matrix._annotator_major
+    predicted = np.asarray(predictions)[items]
+    # One sum over each voter's run of votes; reduceat would give an empty run a vote.
+    voters = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[voters]
+    matches = np.zeros(matrix.n_annotators)
+    matches[voters] = np.add.reduceat(labels == predicted, starts, dtype=np.intp)
+    observed = counts.astype(float)
+    if not predicted.all():  # a caller's 0 on a voted item: the loop never passes one
+        observed[voters] -= np.add.reduceat(predicted == 0, starts, dtype=np.intp)
+    chance = np.full(matrix.n_annotators, 1.0 / matrix.schema.n_labels)
     return np.divide(matches, observed, out=chance, where=observed > 0).tolist()
 
 
@@ -131,8 +144,8 @@ def oracle_weights(true_accuracies: Sequence[float], n_labels: int) -> list[floa
 
 def majority_vote(matrix: AnnotationMatrix) -> list[ExtendedLabel]:
     """Uniform-weight baseline: every annotator counts 1."""
-    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, matrix.schema.n_labels)
-    return _vote(ballot, np.ones(matrix.observed_count)).tolist()
+    ballot = _ballot(*matrix._annotator_major, matrix.n_items, matrix.schema.n_labels)
+    return _vote(ballot, np.ones(matrix.n_annotators)).tolist()
 
 
 def run_ensemble(
@@ -160,12 +173,12 @@ def run_ensemble(
     if matrix.observed_count == 0:
         raise ValueError("annotation matrix has no observed entries")
     n_labels = matrix.schema.n_labels
-    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, n_labels)
+    ballot = _ballot(*matrix._annotator_major, matrix.n_items, n_labels)
     weights = [1.0] * matrix.n_annotators
     previous_predictions: np.ndarray | None = None
     converged = False
     for iteration in range(1, config.max_iterations + 1):
-        predictions = _vote(ballot, np.asarray(weights)[matrix.annotators])
+        predictions = _vote(ballot, np.asarray(weights))
         accuracies = estimate_accuracies(matrix, predictions)
         weights = update_weights(accuracies, n_labels)
         if on_iteration is not None:

@@ -1,6 +1,7 @@
 """Weighted voting, accuracy estimation, and the full aggregation loop."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from labelvote import (
     update_weights,
     weighted_vote,
 )
+from labelvote import aggregate
 from labelvote.aggregate import _ballot, _vote
 
 from conftest import make_matrix, random_sparse_rows
@@ -30,9 +32,8 @@ from reference import reference_ensemble
 
 def vote_all(matrix, weights):
     """The whole-matrix vote kernel under explicit weights."""
-    ballot = _ballot(matrix.items, matrix.labels, matrix.n_items, matrix.schema.n_labels)
-    voter_weights = np.asarray(weights, dtype=float)[matrix.annotators]
-    return _vote(ballot, voter_weights).tolist()
+    ballot = _ballot(*matrix._annotator_major, matrix.n_items, matrix.schema.n_labels)
+    return _vote(ballot, np.asarray(weights, dtype=float)).tolist()
 
 
 def scalar_vote(rows, n_labels, item, weights):
@@ -46,6 +47,15 @@ def scalar_vote(rows, n_labels, item, weights):
     if not voted:
         return 0
     return scores.index(max(scores)) + 1
+
+
+def scalar_accuracies(rows, n_labels, predictions):
+    """Each annotator's share of matches among its votes on items predicted nonzero."""
+    accuracies = []
+    for row in rows:
+        counted = [v == p for v, p in zip(row, predictions) if v and p]
+        accuracies.append(sum(counted) / len(counted) if counted else 1.0 / n_labels)
+    return accuracies
 
 
 @st.composite
@@ -517,6 +527,48 @@ class TestVoteKernel:
         expected = [scalar_vote(rows, n_labels, j, weights) for j in range(matrix.n_items)]
         assert vote_all(matrix, weights) == expected
         assert [weighted_vote(matrix, j, weights) for j in range(matrix.n_items)] == expected
+
+
+class TestIterationKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_rows(), st.data())
+    def test_every_iteration_agrees_with_the_public_kernels(self, case, data):
+        rows, n_labels = case
+        # One more item that nobody votes on, and one more annotator with no vote.
+        rows = [row + [0] for row in rows] + [[0] * (len(rows[0]) + 1)]
+        matrix = labelled(rows, n_labels)
+        weights = [[1.0] * matrix.n_annotators]
+
+        def check(iteration, predictions, accuracies, updated):
+            assert predictions == vote_all(matrix, weights[-1])
+            assert predictions == [
+                weighted_vote(matrix, j, weights[-1]) for j in range(matrix.n_items)
+            ]
+            assert predictions[-1] == 0
+            assert accuracies == estimate_accuracies(matrix, predictions)
+            assert accuracies == scalar_accuracies(rows, n_labels, predictions)
+            assert accuracies[-1] == 1.0 / n_labels and updated[-1] == 0.0
+            # A caller's 0 on a voted item drops that item from every count.
+            zeros = data.draw(st.lists(st.booleans(), min_size=len(predictions),
+                                       max_size=len(predictions)))
+            caller = [0 if zero else p for p, zero in zip(predictions, zeros)]
+            assert estimate_accuracies(matrix, caller) == scalar_accuracies(rows, n_labels, caller)
+            weights.append(updated)
+
+        state = run_ensemble(matrix, EnsembleConfig(max_iterations=20), on_iteration=check)
+        assert len(weights) == state.iterations_run + 1
+
+    def test_each_iteration_calls_the_accuracy_and_weight_steps_once(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            rows, n_labels = random_sparse_rows(rng, max_items=20)
+            matrix = labelled(rows, n_labels)
+            with mock.patch.object(aggregate, "estimate_accuracies",
+                                   wraps=aggregate.estimate_accuracies) as accuracies, \
+                    mock.patch.object(aggregate, "update_weights",
+                                      wraps=aggregate.update_weights) as weights:
+                state = run_ensemble(matrix)
+            assert accuracies.call_count == weights.call_count == state.iterations_run
 
 
 class TestEnsembleConfig:

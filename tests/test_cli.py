@@ -1230,6 +1230,38 @@ def test_bench_ab_runs_an_a_a_pair_and_leaves_the_checkout_as_it_was(tmp_path):
     assert subprocess.run(worktrees, capture_output=True, text=True).stdout == listed
 
 
+def test_bench_ab_tier_runs_one_chain_per_side_through_the_trampoline(tmp_path):
+    # --tier 200k at --tiny size: 2,000 items, one simulate/aggregate/evaluate chain per tree.
+    root = Path(__file__).resolve().parents[1]
+    if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("needs a git checkout")
+    status = ["git", "-C", str(root), "status", "--porcelain", "--untracked-files=no"]
+    before = subprocess.run(status, capture_output=True, text=True).stdout
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "bench_ab.py"), "--base", "HEAD", "--tiny",
+         "--pairs", "1", "--tier", "200k"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    [bench] = tmp_path.glob("BENCH_*.json")
+    report = json.loads(bench.read_text(encoding="utf-8"))
+    steps = ("simulate", "aggregate", "evaluate")
+    assert set(report["notes"]) == {f"{step}_peak_mib" for step in steps}
+    [runs] = report["sets"]
+    assert (runs["workload"], runs["seed"], runs["tiny"]) == ("tier 200k", 3, True)
+    for side in ("base", "change"):
+        [run] = runs["runs"][side]
+        assert run["correct"] and run["failed"] == 0
+        assert run["digests"] == runs["runs"]["base"][0]["digests"]
+        metrics = run["metrics"]["200k"]
+        for step in steps:
+            # A step's own peak at 2,000 items: more than a bare interpreter's, far below 200k's.
+            assert metrics[f"{step}_s"] > 0 and 5 < metrics[f"{step}_peak_mib"] < 60
+    assert {row["metric"] for row in runs["summary"]} >= {"aggregate_s", "aggregate_peak_mib"}
+    assert subprocess.run(status, capture_output=True, text=True).stdout == before
+
+
 def test_pipeline_script_passes(tmp_path):
     # scripts/pipeline.sh runs every subcommand through a `labelvote` on PATH,
     # checks the --help and evaluate import budgets and serves a local HTTP stub.

@@ -866,6 +866,9 @@ def annotation_files(draw):
 
 
 CANONICAL_LINE = b'{"annotator_id": "a1", "item_id": "p1", "attribute": "g", "raw_label": "x"}\n'
+# Read as one block of its length, the line leaves only the spare bytes after it in
+# the buffer, and its annotator id is wider than they are.
+WIDE_LINE = CANONICAL_LINE.replace(b"a1", b"a" * (core._SPARE + 1))
 # Labels a canonical line never holds raw; numpy's bytes compare would take "x" for "x\x00".
 NEVER_RAW_SCHEMA = AttributeSchema("g", ["x\x00", 'x"y', "x\\y", "Y"])
 
@@ -884,6 +887,11 @@ NEVER_RAW_SCHEMA = AttributeSchema("g", ["x\x00", 'x"y', "x\\y", "Y"])
 @example(content=CANONICAL_LINE.replace(b"a1", b"a\\\\1"), block=1, schema=COLUMN_SCHEMA)
 @example(content=CANONICAL_LINE.replace(b"a1", b"a\t1"), block=1, schema=COLUMN_SCHEMA)
 @example(content=CANONICAL_LINE, block=1, schema=NEVER_RAW_SCHEMA)
+# A value wider than the spare bytes after its block; blocks that end exactly at an LF;
+# a last line with no LF.
+@example(content=WIDE_LINE, block=len(WIDE_LINE), schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE * 3, block=len(CANONICAL_LINE), schema=COLUMN_SCHEMA)
+@example(content=CANONICAL_LINE * 2 + CANONICAL_LINE[:-1], block=1, schema=COLUMN_SCHEMA)
 def test_column_reader_matches_the_records_path(tmp_path, content, block, schema):
     path = tmp_path / "a.jsonl"
     path.write_bytes(content)
