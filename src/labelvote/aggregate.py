@@ -87,10 +87,9 @@ def weighted_vote(
         )
     if not 0 <= item < matrix.n_items:
         raise ValueError(f"item index {item} out of range 0..{matrix.n_items - 1}")
-    lo, hi = np.searchsorted(matrix.items, [item, item + 1])
-    counts = np.bincount(matrix.annotators[lo:hi], minlength=matrix.n_annotators)
-    ballot = _ballot(counts, matrix.items[lo:hi] - item, matrix.labels[lo:hi], 1,
-                     matrix.schema.n_labels)
+    votes = np.array(matrix.by_item[item], dtype=np.intp).reshape(-1, 2)  # annotators ascending
+    counts = np.bincount(votes[:, 0], minlength=matrix.n_annotators)
+    ballot = _ballot(counts, 0 * votes[:, 0], votes[:, 1], 1, matrix.schema.n_labels)
     return int(_vote(ballot, np.asarray(weights, dtype=float))[0])
 
 
@@ -108,7 +107,7 @@ def estimate_accuracies(
         raise ValueError(
             f"got {len(predictions)} predictions for {matrix.n_items} items"
         )
-    counts, items, labels = matrix._annotator_major
+    counts, items, labels = matrix._counts, matrix.items, matrix.labels
     predicted = np.asarray(predictions)[items]
     # One sum over each voter's run of votes; reduceat would give an empty run a vote.
     voters = np.flatnonzero(counts)
@@ -144,7 +143,8 @@ def oracle_weights(true_accuracies: Sequence[float], n_labels: int) -> list[floa
 
 def majority_vote(matrix: AnnotationMatrix) -> list[ExtendedLabel]:
     """Uniform-weight baseline: every annotator counts 1."""
-    ballot = _ballot(*matrix._annotator_major, matrix.n_items, matrix.schema.n_labels)
+    ballot = _ballot(matrix._counts, matrix.items, matrix.labels, matrix.n_items,
+                     matrix.schema.n_labels)
     return _vote(ballot, np.ones(matrix.n_annotators)).tolist()
 
 
@@ -173,7 +173,7 @@ def run_ensemble(
     if matrix.observed_count == 0:
         raise ValueError("annotation matrix has no observed entries")
     n_labels = matrix.schema.n_labels
-    ballot = _ballot(*matrix._annotator_major, matrix.n_items, n_labels)
+    ballot = _ballot(matrix._counts, matrix.items, matrix.labels, matrix.n_items, n_labels)
     weights = [1.0] * matrix.n_annotators
     previous_predictions: np.ndarray | None = None
     converged = False

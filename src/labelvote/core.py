@@ -1,12 +1,12 @@
 """The sparse annotation matrix over one attribute, and its builders.
 
 The matrix stores only the non-missing entries, as three parallel int
-arrays (annotator index, item index, label) sorted item-major; a pair
-absent from the arrays is 0, the missing label. ``build_matrix`` builds
-one from records or rows, one at a time; ``_read_canonical`` builds the
-same matrix from an annotation file whose every line has the writers'
-exact shape, column-wise in numpy. The numpy-free schema, label encoding
-and records live in ``storage``.
+arrays (annotator index, item index, label) sorted annotator-major; a
+pair absent from the arrays is 0, the missing label. ``build_matrix``
+builds one from records or rows, one at a time; ``_read_canonical``
+builds the same matrix from an annotation file whose every line has the
+writers' exact shape, column-wise in numpy. The numpy-free schema, label
+encoding and records live in ``storage``.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ class AnnotationMatrix:
     """Sparse N x P matrix of encoded labels over one attribute.
 
     The observed entries are three parallel read-only int arrays:
-    ``annotators`` (index), ``items`` (index) and ``labels`` (1..L), one
-    entry per observed pair; an absent pair is unobserved (value 0). They
-    are sorted item-major with annotators ascending inside each item:
-    summing an item's votes in that order reproduces a dense loop's float
-    sums, so ties resolve the same way. Instances are immutable after
+    ``annotators`` and ``items`` (``intp`` indices) and ``labels`` (1..L,
+    in the smallest dtype that holds L), one entry per observed pair; an
+    absent pair is unobserved (value 0). They are sorted annotator-major
+    with items ascending inside each annotator: each item still receives
+    its votes in ascending annotator order, as a dense loop sums them, so
+    float sums and ties come out the same. Instances are immutable after
     construction and safe to share across threads.
 
     ``entries`` is a mapping {(annotator, item): label} or the three
@@ -78,7 +79,8 @@ class AnnotationMatrix:
                 f"entry ({annotators[k]}, {items[k]}) = {labels[k]} is outside "
                 f"{n} annotators x {p} items x labels 1..{n_labels}"
             )
-        order, first = _runs(items * n + annotators)
+        labels = labels.astype(np.min_scalar_type(n_labels))
+        order, first = _runs(annotators * p + items)
         if not first.all():
             earlier = np.empty_like(labels)
             earlier[order] = labels[order[first]][np.cumsum(first) - 1]
@@ -129,7 +131,8 @@ class AnnotationMatrix:
     @cached_property
     def by_item(self) -> tuple[tuple[tuple[int, ExtendedLabel], ...], ...]:
         """Per-item vote lists: by_item[j] = ((annotator index, label), ...)."""
-        pairs = list(zip(self.annotators.tolist(), self.labels.tolist()))  # stored order
+        order = np.argsort(self.items, kind="stable")  # keeps annotators ascending
+        pairs = list(zip(self.annotators[order].tolist(), self.labels[order].tolist()))
         ends = np.cumsum(np.bincount(self.items, minlength=self.n_items)).tolist()
         return tuple(tuple(pairs[lo:hi]) for lo, hi in zip([0, *ends], ends))
 
@@ -149,24 +152,15 @@ class AnnotationMatrix:
         ]
 
     @cached_property
-    def _annotator_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each annotator's entry count, and the items and labels (in the smallest
-        dtype that holds L) annotator-major: the ``to_records`` order."""
-        # Entries are item-major with annotators ascending inside each item, so a
-        # stable sort by annotator leaves each one's items ascending. numpy's stable
-        # sort of keys of 16 bits or fewer is a radix sort: 8x faster at 64k entries.
-        keys = self.annotators.astype(np.uint16 if self.n_annotators <= 1 << 16 else np.intp)
-        order = np.argsort(keys, kind="stable")
-        labels = self.labels.astype(np.min_scalar_type(self.schema.n_labels))[order]
-        counts = np.bincount(self.annotators, minlength=self.n_annotators)
-        return counts, self.items[order], labels
+    def _counts(self) -> np.ndarray:
+        """Each annotator's entry count: the length of its run of entries."""
+        return np.bincount(self.annotators, minlength=self.n_annotators)
 
     def _annotator_runs(self):
         """Yield (annotator, items, labels) for each annotator in index order."""
-        counts, items, labels = self._annotator_major
-        ends = np.cumsum(counts).tolist()
+        ends = np.cumsum(self._counts).tolist()
         for i, (lo, hi) in enumerate(zip([0, *ends], ends)):
-            yield i, items[lo:hi], labels[lo:hi]
+            yield i, self.items[lo:hi], self.labels[lo:hi]
 
 
 def build_matrix(

@@ -94,9 +94,9 @@ def simulate_annotations(
     np.copyto(labels, truth_row, where=correct)
     del correct
 
-    # Transposed, nonzero() walks item-major with annotators ascending, the
-    # matrix's own order, so the matrix's stable sort finds it in place.
-    items, annotators = np.nonzero(observed.T)
+    # nonzero() walks annotator-major with items ascending, the matrix's own
+    # order, so the matrix's stable sort finds it in place.
+    annotators, items = np.nonzero(observed)
     del observed
     labels = labels[annotators, items]
     return AnnotationMatrix(

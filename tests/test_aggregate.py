@@ -32,7 +32,8 @@ from reference import reference_ensemble
 
 def vote_all(matrix, weights):
     """The whole-matrix vote kernel under explicit weights."""
-    ballot = _ballot(*matrix._annotator_major, matrix.n_items, matrix.schema.n_labels)
+    ballot = _ballot(matrix._counts, matrix.items, matrix.labels, matrix.n_items,
+                     matrix.schema.n_labels)
     return _vote(ballot, np.asarray(weights, dtype=float)).tolist()
 
 

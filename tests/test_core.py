@@ -13,8 +13,12 @@ from labelvote import (
     AttributeSchema,
     ConflictError,
     ProductText,
+    SimulationConfig,
+    WorkerProfile,
     build_matrix,
     encode_label,
+    generate_ground_truth,
+    simulate_annotations,
     write_annotations,
 )
 from labelvote import storage
@@ -212,14 +216,14 @@ class TestBuildMatrix:
 
 
 class TestAnnotationMatrix:
-    def test_columns_sort_item_major_like_the_mapping(self, gender_schema):
+    def test_columns_sort_annotator_major_like_the_mapping(self, gender_schema):
         ids = (["a1", "a2"], ["p1", "p2"])
         by_mapping = AnnotationMatrix(gender_schema, *ids, {(1, 0): 2, (0, 1): 1, (0, 0): 3})
         by_columns = AnnotationMatrix(gender_schema, *ids, ([0, 1, 0], [1, 0, 0], [1, 2, 3]))
         assert by_columns == by_mapping
-        assert by_columns.items.tolist() == [0, 0, 1]
-        assert by_columns.annotators.tolist() == [0, 1, 0]
-        assert by_columns.labels.tolist() == [3, 2, 1]
+        assert by_columns.annotators.tolist() == [0, 0, 1]
+        assert by_columns.items.tolist() == [0, 1, 0]
+        assert by_columns.labels.tolist() == [3, 1, 2]
         assert by_columns.by_item == (((0, 3), (1, 2)), ((0, 1),))
         assert by_columns.by_annotator == (((0, 3), (1, 1)), ((0, 2),))
         # Annotator a2 and item p1 have no entries: each still has its (empty) list.
@@ -305,8 +309,8 @@ class TestAnnotationMatrix:
             assert str(excinfo.value) == expected
             return
         matrix = AnnotationMatrix(schema, annotator_ids, item_ids, columns)
-        columns = (matrix.items.tolist(), matrix.annotators.tolist(), matrix.labels.tolist())
-        assert list(zip(*columns)) == sorted((j, i, v) for (i, j), v in first.items())
+        columns = (matrix.annotators.tolist(), matrix.items.tolist(), matrix.labels.tolist())
+        assert list(zip(*columns)) == sorted((i, j, v) for (i, j), v in first.items())
 
     def test_equality_with_another_type_is_left_to_it(self, gender_schema):
         matrix = AnnotationMatrix(gender_schema, ["a1"], ["p1"], {(0, 0): 1})
@@ -318,22 +322,30 @@ class TestAnnotationMatrix:
         with pytest.raises(ValueError):
             matrix.labels[0] = 2
 
-    def test_columns_are_intp_from_every_source(self, gender_schema, tmp_path):
-        # The sort keys items * n and items * n_labels would overflow a narrower integer.
+    def test_columns_dtype_and_order_from_every_source(self, gender_schema, tmp_path):
+        # intp indices: the sort key annotators * n_items + items cannot overflow. The
+        # order: each item gets its votes in ascending annotator order, as _vote sums them.
         records = [rec("a1", "p1", "male"), rec("a2", "p1", "female"), rec("a1", "p2", "unisex")]
         path = tmp_path / "a.jsonl"
         write_annotations(path, records)
+        ids = (["a1", "a2"], ["p1", "p2"])
         narrow = tuple(np.array(c, dtype=t) for c, t in
-                       (([0, 1], np.int8), ([1, 0], np.int32), ([2, 3], np.uint8)))
+                       (([1, 0, 0], np.int8), ([0, 1, 0], np.int32), ([2, 3, 1], np.uint8)))
+        workers = [WorkerProfile(f"w{k}", 0.7, 0.3) for k in range(4)]
+        config = SimulationConfig(30, gender_schema, workers, seed=5)
         matrices = {
-            "mapping": AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1", "p2"], {(0, 1): 2}),
-            "narrow columns": AnnotationMatrix(gender_schema, ["a1", "a2"], ["p1", "p2"], narrow),
+            "mapping": AnnotationMatrix(gender_schema, *ids, {(1, 0): 2, (0, 1): 1, (0, 0): 3}),
+            "narrow columns": AnnotationMatrix(gender_schema, *ids, narrow),
             "build_matrix": build_matrix(gender_schema, records),
             "_read_canonical": _read_canonical(path, gender_schema),
+            "simulate_annotations": simulate_annotations(config, generate_ground_truth(config)),
         }
         for source, matrix in matrices.items():
-            dtypes = {matrix.annotators.dtype, matrix.items.dtype, matrix.labels.dtype}
-            assert dtypes == {np.dtype(np.intp)}, source
+            assert matrix.annotators.dtype == matrix.items.dtype == np.intp, source
+            assert matrix.labels.dtype == np.min_scalar_type(gender_schema.n_labels), source
+            pairs = list(zip(matrix.annotators.tolist(), matrix.items.tolist()))
+            assert pairs == sorted(set(pairs)), source
+            assert len(set(matrix.annotators.tolist())) > 1, source
 
 
 class TestAnnotationRecord:
