@@ -1037,9 +1037,13 @@ class TestColumnReader:
         assert len(built) == len(records) and all(map(operator.is_, built, records))
 
     def test_conflict_in_a_canonical_file_is_raised_column_wise(self, tmp_path):
+        """In one block, and in 1000-byte blocks, where the pair's first label
+        and its contradiction (the last line) come from different blocks."""
         path = tmp_path / "a.jsonl"
         write_annotations(path, [*self.rows(), AnnotationRecord("a1", "p1", "g", "x")])
-        with mock.patch.object(storage, "_annotation_rows", side_effect=AssertionError):
-            outcome = read_outcome(read_matrix, path, COLUMN_SCHEMA)
-        assert outcome == read_outcome(lambda: build_matrix(COLUMN_SCHEMA, read_annotations(path)))
-        assert outcome[0] is ConflictError
+        expected = read_outcome(lambda: build_matrix(COLUMN_SCHEMA, read_annotations(path)))
+        assert expected[0] is ConflictError
+        for block in (1 << 20, 1000):
+            with mock.patch.object(core, "_COLUMN_BLOCK", block), \
+                    mock.patch.object(storage, "_annotation_rows", side_effect=AssertionError):
+                assert read_outcome(read_matrix, path, COLUMN_SCHEMA) == expected
