@@ -105,9 +105,10 @@ imports_none_of() {
 }
 imports_none_of 'numpy|labelvote\.(jsonl|storage|extract|providers)' --help
 imports_none_of 'numpy|labelvote\.storage' evaluate --predictions "$out/predictions.jsonl" --truth "$out/truth.jsonl"
-# aggregate reads the 20k annotations column-wise in numpy. It interns ids with
-# argsort, not np.unique, whose byte-string path imports numpy.ma: some 20 ms
-# of a run that loads nothing else of it.
+# aggregate reads the 20k annotations column-wise in numpy. np.unique with
+# return_index or return_inverse takes the sort path and loads nothing more;
+# a flag-less call loads numpy.ma on numpy 2.4.6, 10-15 ms of a run that
+# uses nothing else of it.
 imports_none_of 'numpy\.ma' aggregate --input "$out/annotations.jsonl" --attribute attr --labels low,mid,high --out "$out/importtime-predictions.jsonl"
 
 cat > "$out/products.jsonl" <<'EOF'

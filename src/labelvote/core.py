@@ -211,24 +211,6 @@ def build_matrix(
     )
 
 
-def _intern(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct values of ``column`` in first-appearance order:
-    (each entry's number, the distinct values in that order). A stable sort keeps
-    repeats in input order: a run of equal values starts at the value's first appearance."""
-    order = np.argsort(column, kind="stable")
-    ordered = column[order]
-    first = np.ones(len(column), dtype=bool)  # which sorted positions start a run
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    del ordered
-    firsts = order[first]  # each distinct value's first position, by value
-    by_appearance = np.argsort(firsts)
-    numbers = np.empty(len(firsts), dtype=np.intp)
-    numbers[by_appearance] = np.arange(len(firsts))
-    codes = np.empty(len(column), dtype=np.intp)
-    codes[order] = numbers[np.cumsum(first) - 1]
-    return codes, column[firsts[by_appearance]]
-
-
 _COLUMN_BLOCK = 1 << 20  # bytes read at a time, cut at the last LF
 _SPARE = 256  # bytes after a block in its buffer, for the windows over its values
 _SPREAD = 4  # a fixed-width column may take at most this many times the bytes it came from
@@ -294,7 +276,7 @@ def _block_columns(buf: bytearray, size: int, pieces: list, spelled: list, schem
     ``buf[:size]``: the ids as fixed-width bytes, the labels encoded. A block is
     canonical when each line holds the four ``pieces`` at its quotes and LF, in
     their bytes, and its values keep ``jsonl``'s value rule. A label spelled as in
-    ``spelled`` is coded by a compare; only the others are interned."""
+    ``spelled`` is coded by a compare; only the others go through ``np.unique``."""
     str(memoryview(buf)[:size], "utf-8")
     padded = np.frombuffer(buf, dtype=np.uint8)
     block = padded[:size]
@@ -329,9 +311,7 @@ def _block_columns(buf: bytearray, size: int, pieces: list, spelled: list, schem
         values = windows[starts[:, field], : widths[field]]
         values[np.arange(widths[field]) >= lengths[:, field, None]] = 0
         values = values.view(f"S{widths[field]}").ravel()
-        if maybe_blank[:, field].any() and not all(
-            value.decode().strip() for value in np.unique(values[maybe_blank[:, field]]).tolist()
-        ):
+        if not all(value.decode().strip() for value in set(values[maybe_blank[:, field]].tolist())):
             raise _NotCanonical
         return values
 
@@ -339,8 +319,8 @@ def _block_columns(buf: bytearray, size: int, pieces: list, spelled: list, schem
     labels = np.zeros(len(raw), np.min_scalar_type(schema.n_labels))
     for code, spelling in spelled:
         labels[raw == spelling] = code
-    rest = np.flatnonzero(labels == 0)  # spelled otherwise: interned and encoded
-    raw, distinct = _intern(raw[rest])
+    rest = np.flatnonzero(labels == 0)  # spelled otherwise: numbered in any order and encoded
+    distinct, raw = np.unique(raw[rest], return_inverse=True)
     codes = [encode_label(schema, value.decode()) for value in distinct.tolist()]
     labels[rest] = np.array(codes, labels.dtype)[raw]
     keep = labels > 0
@@ -356,5 +336,10 @@ def _intern_ids(parts: list, size: int) -> tuple[np.ndarray, list[str]]:
         raise _NotCanonical
     column = np.concatenate(parts) if parts else np.empty(0, dtype="S1")
     parts.clear()
-    codes, distinct = _intern(column)
-    return codes, [value.decode() for value in distinct.tolist()]
+    # Flagged, np.unique sorts without loading numpy.ma; ranking the first indices
+    # numbers the distinct ids by first appearance.
+    distinct, firsts, codes = np.unique(column, return_index=True, return_inverse=True)
+    by_appearance = np.argsort(firsts)
+    numbers = np.empty(len(firsts), dtype=np.intp)
+    numbers[by_appearance] = np.arange(len(firsts))
+    return numbers[codes], [value.decode() for value in distinct[by_appearance].tolist()]

@@ -1407,6 +1407,28 @@ def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcomman
     assert modules_line.split() == sorted(expected)
 
 
+def test_column_reader_loads_no_numpy_ma(tmp_path):
+    # " z" starts with a space, so the column reader checks that it is not blank; a
+    # flag-less np.unique loads numpy.ma on some numpy versions, some 10 ms of a run.
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, [
+        ("a1", "p1", "a"), ("a1", "p2", " z"), ("a2", "p2", "zz"), ("a2", "p1", "Z"),
+    ])
+    probe = (
+        "import sys\n"
+        "from labelvote import core, storage\n"
+        "schema = storage.AttributeSchema('attr', ['a', 'z'])\n"
+        "matrix = storage.read_matrix(sys.argv[1], schema)\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "print(core._read_canonical(sys.argv[1], schema) == matrix\n"
+        "      == core.build_matrix(schema, storage.read_annotations(sys.argv[1])))\n"
+        "print(matrix.cells.tolist())\n"
+    )
+    result = run_python_on_src("-c", probe, str(annotations))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n") == ["False", "True", "[[1, 2], [2, 0]]", ""]
+
+
 # Every name the package exported when its __init__ imported all modules, by defining module.
 EXPORTS = {
     "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote oracle_weights "
