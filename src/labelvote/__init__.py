@@ -12,7 +12,7 @@ _MODULE = {  # name -> defining module
     for module, names in {
         "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote "
         "oracle_weights run_ensemble update_weights weighted_vote",
-        "core": "AnnotationMatrix build_matrix",
+        "core": "AnnotationMatrix build_matrix read_matrix write_matrix",
         "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
         "render_prompt",
         "jsonl": "prediction_columns",
@@ -21,9 +21,8 @@ _MODULE = {  # name -> defining module
         "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
         "simulate_annotations",
         "storage": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel PredictionRecord "
-        "ProductText WeightsReport encode_label read_annotations read_matrix read_predictions "
-        "read_products read_weights write_annotations write_matrix write_predictions "
-        "write_weights",
+        "ProductText WeightsReport encode_label read_annotations read_predictions read_products "
+        "read_weights write_annotations write_predictions write_weights",
     }.items()
     for name in names.split()
 }

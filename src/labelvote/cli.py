@@ -56,14 +56,14 @@ def _schema_from_args(args):
 
 
 def cmd_aggregate(args) -> int:
-    from . import storage
+    from . import core, storage
     from .aggregate import EnsembleConfig, run_ensemble
 
     config = EnsembleConfig(max_iterations=args.max_iter)
     if args.weights_out and os.path.realpath(args.weights_out) == os.path.realpath(args.out):
         raise ValueError("--out and --weights-out name the same file")
     schema = _schema_from_args(args)
-    matrix = storage.read_matrix(args.input, schema)
+    matrix = core.read_matrix(args.input, schema)
     if matrix.observed_count == 0:
         print("no annotations", file=sys.stderr)
         return EXIT_FAILURE
@@ -92,7 +92,7 @@ def _load_workers(path) -> list:
 
 
 def cmd_simulate(args) -> int:
-    from . import storage
+    from . import core, storage
     from .jsonl import _check_fields
     from .simulate import SimulationConfig, generate_ground_truth, simulate_annotations
 
@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
     )
     truth = generate_ground_truth(config)
     matrix = simulate_annotations(config, truth)
-    storage.write_matrix(args.out, matrix)
+    core.write_matrix(args.out, matrix)
     if args.truth_out:
         storage.write_predictions(args.truth_out, matrix.item_ids, truth, schema)
     print(

@@ -1,11 +1,10 @@
-"""The annotation matrix over one attribute, and its builders.
+"""The annotation matrix over one attribute, its builders, and its file I/O.
 
 The matrix is one ``annotators x items`` array of cells, each an encoded
 label with 0 for a missing one. ``build_matrix`` builds one from records
-or rows, one at a time; ``_read_canonical`` builds the same matrix from an
-annotation file whose every line has the writers' exact shape,
-column-wise in numpy. The numpy-free schema, label encoding and records
-live in ``storage``.
+or rows. ``read_matrix`` reads a file of the writers' exact lines column-wise
+in numpy, and any other file row by row; ``write_matrix`` writes one. The
+numpy-free schema, label encoding, records and their files are in ``storage``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL, _TEXT
 from .storage import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
-from .storage import _dumps
+from .storage import _CHUNK, _annotation_rows, _dumps, _write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +165,7 @@ def build_matrix(
     """Assemble an annotation matrix from records for one attribute.
 
     A record may also be an (annotator_id, item_id, attribute, raw_label)
-    tuple, as ``storage.read_matrix`` streams them from a file that
+    tuple, as ``read_matrix`` streams them from a file that
     ``_read_canonical`` declines. Annotator and item orderings are
     first-appearance order among records that carry an in-vocabulary
     label. Records whose raw_label encodes to missing contribute nothing
@@ -209,6 +208,31 @@ def build_matrix(
     return AnnotationMatrix(
         schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
     )
+
+
+def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
+    """``build_matrix(schema, read_annotations(path))`` without the records.
+
+    A file in the writers' exact line shape is read column-wise in numpy;
+    any other file, or one that reader declines, goes row by row through
+    ``build_matrix``, which reads the same matrix and raises every error.
+    """
+    matrix = _read_canonical(path, schema)
+    return build_matrix(schema, _annotation_rows(path)) if matrix is None else matrix
+
+
+def write_matrix(path, matrix: AnnotationMatrix) -> None:
+    """``write_annotations(path, matrix.to_records())`` without the records:
+    a line is a head per annotator, the item id and a tail per label."""
+    item_texts = list(map(_dumps, matrix.item_ids))
+    attribute = _dumps(matrix.schema.attribute_name)
+    tails = [None, *(_ANNOTATION_TAIL % (attribute, _dumps(l)) for l in matrix.schema.labels)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i, items, labels in matrix._annotator_runs():
+            head = _ANNOTATION_HEAD % _dumps(matrix.annotator_ids[i])
+            for k in range(0, len(items), _CHUNK):
+                texts = map(item_texts.__getitem__, items[k : k + _CHUNK].tolist())
+                _write_lines(fh, head, texts, tails, labels[k : k + _CHUNK].tolist())
 
 
 _COLUMN_BLOCK = 1 << 20  # bytes read at a time, cut at the last LF

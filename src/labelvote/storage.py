@@ -7,16 +7,14 @@ predictions and products are JSONL (one object per line, UTF-8, LF); a
 weights report is a single JSON document, and so are the schema, workers,
 providers and synonyms files, which go through ``read_json``. Readers are
 strict: unknown fields, missing fields, and wrong types are errors, never
-coerced. The JSONL reader and the field-rule checker live in ``jsonl``.
-Only ``read_matrix`` loads numpy, by importing ``core`` when called: it
-reads a file of canonical lines (the writers' exact shape) column-wise
-there, and any other file row by row, to the same matrix and errors.
+coerced. The JSONL reader and the field-rule checker live in ``jsonl``;
+the annotation matrix, with its file reader and writer ``read_matrix`` and
+``write_matrix``, lives in ``core``. Nothing here loads numpy.
 Writers emit a fixed key order and rely on Python's shortest-roundtrip
 float formatting, so output is byte-deterministic for identical inputs
-and floats survive a write/read cycle exactly. ``write_matrix`` and
-``write_predictions`` join at most ``_CHUNK`` lines per write, and
-``write_annotations`` hands its lines to ``writelines``; ids and labels
-must be ``str``.
+and floats survive a write/read cycle exactly. ``write_predictions``
+joins at most ``_CHUNK`` lines per write, and ``write_annotations``
+hands its lines to ``writelines``; ids and labels must be ``str``.
 """
 
 from __future__ import annotations
@@ -25,16 +23,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .jsonl import (
     _ANNOTATION_HEAD, _ANNOTATION_SHAPE, _ANNOTATION_TAIL, _KINDS, _PREDICTION_HEAD,
     _PREDICTION_RULES, _PREDICTION_TAIL, _canon, _check_fields, _check_object, _read_jsonl, _row,
     _rules, prediction_columns,
 )
-
-if TYPE_CHECKING:
-    from .core import AnnotationMatrix
 
 # json.dumps(text, ensure_ascii=False) of a str: the C function its encoder calls.
 _dumps = json.encoder.encode_basestring
@@ -218,19 +213,6 @@ def read_annotations(path) -> list[AnnotationRecord]:
     return [AnnotationRecord(*row) for row in _annotation_rows(path)]
 
 
-def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
-    """``build_matrix(schema, read_annotations(path))`` without the records.
-
-    A file in the writers' exact line shape is read column-wise in numpy;
-    any other file, or one that reader declines, goes row by row through
-    ``build_matrix``, which reads the same matrix and raises every error.
-    """
-    from .core import _read_canonical, build_matrix
-
-    matrix = _read_canonical(path, schema)
-    return build_matrix(schema, _annotation_rows(path)) if matrix is None else matrix
-
-
 def _annotation_rows(path):
     """The file's rows as tuples, checked as ``AnnotationRecord`` checks them."""
     return _read_jsonl(path, _row(AnnotationRecord._RULES), _ANNOTATION_SHAPE.findall)
@@ -243,20 +225,6 @@ def write_annotations(path, records: Sequence[AnnotationRecord]) -> None:
             + _ANNOTATION_TAIL % (_dumps(r.attribute), _dumps(r.raw_label))
             for r in records
         )
-
-
-def write_matrix(path, matrix: AnnotationMatrix) -> None:
-    """``write_annotations(path, matrix.to_records())`` without the records:
-    a line is a head per annotator, the item id and a tail per label."""
-    item_texts = list(map(_dumps, matrix.item_ids))
-    attribute = _dumps(matrix.schema.attribute_name)
-    tails = [None, *(_ANNOTATION_TAIL % (attribute, _dumps(l)) for l in matrix.schema.labels)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, items, labels in matrix._annotator_runs():
-            head = _ANNOTATION_HEAD % _dumps(matrix.annotator_ids[i])
-            for k in range(0, len(items), _CHUNK):
-                texts = map(item_texts.__getitem__, items[k : k + _CHUNK].tolist())
-                _write_lines(fh, head, texts, tails, labels[k : k + _CHUNK].tolist())
 
 
 def _write_lines(fh, head, texts, tails, values):

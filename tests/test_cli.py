@@ -1418,7 +1418,7 @@ def test_column_reader_loads_no_numpy_ma(tmp_path):
         "import sys\n"
         "from labelvote import core, storage\n"
         "schema = storage.AttributeSchema('attr', ['a', 'z'])\n"
-        "matrix = storage.read_matrix(sys.argv[1], schema)\n"
+        "matrix = core.read_matrix(sys.argv[1], schema)\n"
         "print('numpy.ma' in sys.modules)\n"
         "print(core._read_canonical(sys.argv[1], schema) == matrix\n"
         "      == core.build_matrix(schema, storage.read_annotations(sys.argv[1])))\n"
@@ -1433,7 +1433,7 @@ def test_column_reader_loads_no_numpy_ma(tmp_path):
 EXPORTS = {
     "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote oracle_weights "
     "run_ensemble update_weights weighted_vote",
-    "core": "AnnotationMatrix build_matrix",
+    "core": "AnnotationMatrix build_matrix read_matrix write_matrix",
     "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
     "render_prompt",
     "jsonl": "prediction_columns",
@@ -1442,8 +1442,8 @@ EXPORTS = {
     "simulate": "SimulationConfig WorkerProfile generate_ground_truth score_accuracy "
     "simulate_annotations",
     "storage": "AnnotationRecord AttributeSchema ConflictError ExtendedLabel PredictionRecord "
-    "ProductText WeightsReport encode_label read_annotations read_matrix read_predictions "
-    "read_products read_weights write_annotations write_matrix write_predictions write_weights",
+    "ProductText WeightsReport encode_label read_annotations read_predictions read_products "
+    "read_weights write_annotations write_predictions write_weights",
 }
 
 
@@ -1459,6 +1459,8 @@ def test_package_exports_resolve_to_their_defining_modules(monkeypatch):
         defined = getattr(sys.modules[f"labelvote.{module}"], name)
         assert namespace[name] is defined, name
     assert not {"ProductText", "_Checked", "_canon"} & set(vars(core))  # no re-exports
+    # storage holds the records and their files; the matrix and its files are core's.
+    assert not {"read_matrix", "write_matrix", "AnnotationMatrix"} & set(vars(storage))
     assert not set(expected) & set(vars(labelvote))  # resolved on access, never cached
     # So a patch of the defining module, as the benchmark's tracer makes, is seen here too.
     monkeypatch.setattr(core, "build_matrix", "patched")

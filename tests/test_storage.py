@@ -544,8 +544,8 @@ class TestLineFormat:
         matrix = self.awkward_matrix()
         fused, staged = tmp_path / "fused.jsonl", tmp_path / "staged.jsonl"
         write_annotations(staged, matrix.to_records())
-        for chunk in (storage._CHUNK, 5):
-            with mock.patch.object(storage, "_CHUNK", chunk):
+        for chunk in (core._CHUNK, 5):
+            with mock.patch.object(core, "_CHUNK", chunk):
                 write_matrix(fused, matrix)
             assert fused.read_bytes() == staged.read_bytes()
         assert read_matrix(fused, matrix.schema) == build_matrix(
@@ -925,7 +925,7 @@ class TestColumnReader:
         if not final_lf:
             path.write_bytes(path.read_bytes().removesuffix(b"\n"))
         with mock.patch.object(core, "_COLUMN_BLOCK", 1000), \
-                mock.patch.object(storage, "_annotation_rows", wraps=storage._annotation_rows) as rows:
+                mock.patch.object(core, "_annotation_rows", wraps=core._annotation_rows) as rows:
             matrix = read_matrix(path, COLUMN_SCHEMA)
         assert rows.call_count == row_reads
         assert matrix == build_matrix(COLUMN_SCHEMA, self.rows())
@@ -975,10 +975,10 @@ class TestColumnReader:
         line = '{"annotator_id": "%s", "item_id": "%s", "attribute": %s, "raw_label": "%s"}\n'
         path.write_text("".join(line % (a, i, written, label) for a, i, _, label in self.rows()),
                         encoding="utf-8")
-        with mock.patch.object(storage, "_annotation_rows", wraps=storage._annotation_rows) as rows:
+        with mock.patch.object(core, "_annotation_rows", wraps=core._annotation_rows) as rows:
             fused, staged = fused_and_staged(path, schema)
         assert fused == staged
-        assert rows.call_count == row_reads + 1  # the staged read is one
+        assert rows.call_count == row_reads
 
     @pytest.mark.parametrize("block", [1, 1 << 20], ids=["line blocks", "one block"])
     def test_long_id_takes_the_row_path(self, tmp_path, block):
@@ -990,7 +990,7 @@ class TestColumnReader:
         tracemalloc.start()
         try:
             with mock.patch.object(core, "_COLUMN_BLOCK", block), mock.patch.object(
-                storage, "_annotation_rows", wraps=storage._annotation_rows
+                core, "_annotation_rows", wraps=core._annotation_rows
             ) as rows:
                 matrix = read_matrix(path, COLUMN_SCHEMA)
             peak = tracemalloc.get_traced_memory()[1]
@@ -1045,5 +1045,5 @@ class TestColumnReader:
         assert expected[0] is ConflictError
         for block in (1 << 20, 1000):
             with mock.patch.object(core, "_COLUMN_BLOCK", block), \
-                    mock.patch.object(storage, "_annotation_rows", side_effect=AssertionError):
+                    mock.patch.object(core, "_annotation_rows", side_effect=AssertionError):
                 assert read_outcome(read_matrix, path, COLUMN_SCHEMA) == expected
