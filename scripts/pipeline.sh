@@ -13,7 +13,8 @@
 # Then, offline: extract labels from mock providers whose answers need the
 # response rules and a synonym, one of them not concurrency-safe and one
 # failing its first request, check the records' order, aggregate them, and
-# check the consensus.
+# check the consensus, and that aggregate votes on so small a file without
+# numpy.
 # Then, check that a provider that gives up is reported on stderr as a
 # warning, while extract still exits 0 with the other provider's records.
 # Then, check that a mistyped provider option (named by its entry number), a
@@ -138,6 +139,9 @@ grep -qF '{"item_id": "sku-1", "attribute": "gender", "label": "female"}' "$out/
   echo "pipeline: extract leg did not predict female for sku-1" >&2
   exit 1
 }
+# A file whose size times --max-iter is within ensemble.PLAIN_BUDGET is voted
+# on in plain Python: loading numpy would cost more than the whole vote.
+imports_none_of 'numpy' aggregate --input "$out/extracted.jsonl" $schema --out "$out/importtime-extracted-predictions.jsonl"
 
 # A provider that fails every request costs only its own records: extract
 # exits 0, and stderr names the provider that gave up, as a warning.

@@ -2,7 +2,9 @@
 
 The package's names are resolved on first use (PEP 562), so importing it
 loads no submodule; numpy is loaded only with ``aggregate``, ``simulate``
-or ``core``.
+or ``core``. ``labelvote aggregate`` loads numpy only when its input is not
+a regular file or its size in bytes times ``--max-iter`` exceeds
+``ensemble.PLAIN_BUDGET`` (8 MiB); a smaller input is voted on in plain Python.
 """
 
 import importlib
@@ -10,9 +12,9 @@ import importlib
 _MODULE = {  # name -> defining module
     name: module
     for module, names in {
-        "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote "
-        "oracle_weights run_ensemble update_weights weighted_vote",
+        "aggregate": "estimate_accuracies majority_vote run_ensemble weighted_vote",
         "core": "AnnotationMatrix build_matrix read_matrix write_matrix",
+        "ensemble": "EnsembleConfig EnsembleState oracle_weights update_weights",
         "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
         "render_prompt",
         "jsonl": "prediction_columns",

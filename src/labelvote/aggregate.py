@@ -7,40 +7,21 @@ weights with weight = L * accuracy - 1 (L being the vocabulary size).
 The rule zeroes out annotators at chance level (accuracy 1/L), gives
 perfect annotators the maximal weight L - 1, and leaves consistently
 wrong annotators with negative weight so their votes count as evidence
-against.
+against. The loop's config and result and the weight rule live in
+``ensemble``, with the plain loop of small runs, and resolve here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import AnnotationMatrix
-from .jsonl import _rules
-from .storage import ExtendedLabel, _Checked
+from .ensemble import EnsembleConfig, EnsembleState, oracle_weights, update_weights  # noqa: F401
+from .storage import ExtendedLabel
 
 IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
-
-
-@dataclass(frozen=True)
-class EnsembleConfig(_Checked):
-    """Loop guard for the aggregation: the iteration cap."""
-
-    max_iterations: int = 100
-    _RULES = _rules(max_iterations="an integer >= 1")
-
-
-@dataclass
-class EnsembleState:
-    """Converged (or capped) result of one aggregation run."""
-
-    weights: list[float]
-    accuracies: list[float]
-    predictions: list[ExtendedLabel]
-    iterations_run: int
-    converged: bool
 
 
 def _ballot(cells: np.ndarray, n_labels: int) -> tuple:
@@ -118,26 +99,6 @@ def estimate_accuracies(
         observed -= np.count_nonzero(abstained, axis=1)
     chance = np.full(matrix.n_annotators, 1.0 / matrix.schema.n_labels)
     return np.divide(matches, observed, out=chance, where=observed > 0).tolist()
-
-
-def update_weights(accuracies: Sequence[float], n_labels: int) -> list[float]:
-    """Map accuracies to vote weights: v = L * accuracy - 1, elementwise."""
-    if n_labels < 2:
-        raise ValueError("n_labels must be >= 2")
-    for a in accuracies:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"accuracy {a} outside [0, 1]")
-    return [n_labels * a - 1.0 for a in accuracies]
-
-
-def oracle_weights(true_accuracies: Sequence[float], n_labels: int) -> list[float]:
-    """Idealized weights from known annotator accuracies.
-
-    Same rule as :func:`update_weights` but fed true accuracies instead of
-    estimates; the iterative run approximates these. Kept as the baseline
-    name that the acceptance suite imports.
-    """
-    return update_weights(true_accuracies, n_labels)
 
 
 def majority_vote(matrix: AnnotationMatrix) -> list[ExtendedLabel]:

@@ -11,7 +11,8 @@ import os
 import sys
 
 # Each subcommand imports its modules when it runs, so --help loads none of
-# them and only simulate and aggregate pay for numpy.
+# them and only simulate and aggregate pay for numpy: aggregate only on an
+# input beyond ``ensemble.PLAIN_BUDGET``.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -56,21 +57,27 @@ def _schema_from_args(args):
 
 
 def cmd_aggregate(args) -> int:
-    from . import core, storage
-    from .aggregate import EnsembleConfig, run_ensemble
+    from . import ensemble, storage
 
-    config = EnsembleConfig(max_iterations=args.max_iter)
+    config = ensemble.EnsembleConfig(max_iterations=args.max_iter)
     if args.weights_out and os.path.realpath(args.weights_out) == os.path.realpath(args.out):
         raise ValueError("--out and --weights-out name the same file")
     schema = _schema_from_args(args)
-    matrix = core.read_matrix(args.input, schema)
-    if matrix.observed_count == 0:
+    if ensemble.fits_plain(args.input, config.max_iterations):
+        votes = ensemble.build_votes(schema, storage._annotation_rows(args.input))
+        run = ensemble.run_plain
+    else:
+        from . import core
+        from .aggregate import run_ensemble
+
+        votes, run = core.read_matrix(args.input, schema), run_ensemble
+    if not votes.item_ids:  # ids are numbered only for in-vocabulary labels
         print("no annotations", file=sys.stderr)
         return EXIT_FAILURE
-    state = run_ensemble(matrix, config)
-    storage.write_predictions(args.out, matrix.item_ids, state.predictions, schema)
+    state = run(votes, config)
+    storage.write_predictions(args.out, votes.item_ids, state.predictions, schema)
     if args.weights_out:
-        ids = matrix.annotator_ids
+        ids = votes.annotator_ids
         storage.write_weights(args.weights_out, storage.WeightsReport(
             schema.attribute_name, dict(zip(ids, state.weights)),
             dict(zip(ids, state.accuracies)), state.iterations_run, state.converged,

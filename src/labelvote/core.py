@@ -2,13 +2,15 @@
 
 The matrix is one ``annotators x items`` array of cells, each an encoded
 label with 0 for a missing one. ``build_matrix`` builds one from records
-or rows. ``read_matrix`` reads a file of the writers' exact lines column-wise
-in numpy, and any other file row by row; ``write_matrix`` writes one. The
-numpy-free schema, label encoding, records and their files are in ``storage``.
+or rows, numbered as ``ensemble`` numbers them. ``read_matrix`` reads a
+regular file of the writers' exact lines column-wise in numpy, and any other
+input row by row; ``write_matrix`` writes one. The numpy-free schema, label
+encoding, records and their files are in ``storage``.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .jsonl import _ANNOTATION_HEAD, _ANNOTATION_TAIL, _TEXT
-from .storage import AnnotationRecord, AttributeSchema, ConflictError, ExtendedLabel, encode_label
+from .storage import AnnotationRecord, AttributeSchema, ExtendedLabel, encode_label
 from .storage import _CHUNK, _annotation_rows, _dumps, _write_lines
 
 
@@ -85,16 +87,11 @@ class AnnotationMatrix:
             cells = np.zeros((n, p), dtype)
             # Repeats land in no fixed order, so a cell unlike one of its labels marks a conflict.
             cells.ravel()[keys] = labels
-            if (cells.ravel()[keys] != labels).any():
-                first: dict[int, int] = {}
-                for key, label in zip(keys.tolist(), labels.tolist()):
-                    if first.setdefault(key, label) != label:
-                        break
-                raise ConflictError(
-                    f"conflicting labels for annotator {self.annotator_ids[key // p]!r} "
-                    f"on item {self.item_ids[key % p]!r}: "
-                    f"{schema.labels[first[key] - 1]!r} vs {schema.labels[label - 1]!r}"
-                )
+            if (cells.ravel()[keys] != labels).any():  # _cells names the conflict
+                from .ensemble import _cells
+
+                columns = (annotators.tolist(), items.tolist(), labels.tolist())
+                _cells(schema, self.annotator_ids, self.item_ids, columns)
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
 
@@ -179,45 +176,22 @@ def build_matrix(
     A record of another attribute raises ValueError once the rest are read,
     unless reading them fails or a conflict precedes it.
     """
-    annotator_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    codes: dict[str, ExtendedLabel] = {}
-    annotators: list[int] = []
-    items: list[int] = []
-    labels: list[ExtendedLabel] = []
-    rows = iter(records)
-    for annotator_id, item_id, attribute, raw_label in rows:
-        if attribute != schema.attribute_name:
-            list(rows)  # read the rest first: see the docstring
-            AnnotationMatrix(
-                schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
-            )
-            raise ValueError(
-                f"record attribute {attribute!r} does not match "
-                f"schema attribute {schema.attribute_name!r}"
-            )
-        value = codes.get(raw_label)
-        if value is None:
-            value = codes[raw_label] = encode_label(schema, raw_label)
-        if value == 0:
-            continue
-        annotators.append(annotator_index.setdefault(annotator_id, len(annotator_index)))
-        items.append(item_index.setdefault(item_id, len(item_index)))
-        labels.append(value)
+    # Imported here: simulate, which builds its matrix from cells, loads no ensemble.
+    from .ensemble import _number_rows
 
-    return AnnotationMatrix(
-        schema, tuple(annotator_index), tuple(item_index), (annotators, items, labels)
-    )
+    return AnnotationMatrix(schema, *_number_rows(schema, records))
 
 
 def read_matrix(path, schema: AttributeSchema) -> AnnotationMatrix:
     """``build_matrix(schema, read_annotations(path))`` without the records.
 
-    A file in the writers' exact line shape is read column-wise in numpy;
-    any other file, or one that reader declines, goes row by row through
-    ``build_matrix``, which reads the same matrix and raises every error.
+    A regular file in the writers' exact line shape is read column-wise in
+    numpy. Any other file, one that reader declines, and any input that is
+    not a regular file, such as a pipe that can be read only once, go row by
+    row through ``build_matrix``, which reads the same matrix and raises
+    every error.
     """
-    matrix = _read_canonical(path, schema)
+    matrix = _read_canonical(path, schema) if os.path.isfile(path) else None
     return build_matrix(schema, _annotation_rows(path)) if matrix is None else matrix
 
 

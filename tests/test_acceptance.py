@@ -38,6 +38,7 @@ from labelvote import (
     write_weights,
 )
 from labelvote.cli import main
+from labelvote.ensemble import build_votes, run_plain
 
 from conftest import make_matrix, random_sparse_rows
 from reference import reference_ensemble
@@ -118,6 +119,24 @@ def test_ac1_exhaustive_equivalence_with_brute_force():
         checked += 1
     assert checked == 4096
     print(f"\nAC-1: {checked} dense matrices bit-identical to the brute-force reference")
+
+
+def test_ac1_plain_loop_exhaustive_equivalence_with_brute_force():
+    """The numpy-free loop of small ``aggregate`` runs, on the same 4096 matrices as rows."""
+    schema = AttributeSchema("attr", ["a", "b"])
+    checked = 0
+    for cells in itertools.product((1, 2), repeat=12):
+        rows = [list(cells[0:4]), list(cells[4:8]), list(cells[8:12])]
+        records = [
+            (f"a{i}", f"p{j}", "attr", schema.labels[rows[i][j] - 1])
+            for i in range(3) for j in range(4)
+        ]
+        state = run_plain(build_votes(schema, records))
+        expected = reference_ensemble(rows, 2)
+        assert (state.predictions, state.weights, state.accuracies, state.iterations_run,
+                state.converged) == expected
+        checked += 1
+    assert checked == 4096
 
 
 def test_ac2_ensemble_beats_best_single_worker(base_study):

@@ -11,13 +11,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from labelvote import (
     AnnotationRecord, read_annotations, read_predictions, read_weights,
 )
-from labelvote import jsonl
+from labelvote import ensemble, jsonl
 from labelvote.cli import main
+from labelvote.ensemble import PLAIN_BUDGET
 
 THREE_BY_FOUR = [
     ("a1", "p1", "a"), ("a1", "p2", "a"), ("a1", "p3", "b"), ("a1", "p4", "a"),
@@ -1057,9 +1058,150 @@ def test_tol_is_accepted_and_ignored(tmp_path):
     assert len(set(outputs)) == 1
 
 
-def run_python_on_src(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unset=()):
+def aggregate_both_ways(tmp_path, capsys, annotations, max_iter=100):
+    """``aggregate`` of ``annotations`` with ``--max-iter max_iter`` on the plain
+    path, then on the numpy path, which a budget below every input selects: per
+    path, its (code, stdout, stderr, predictions bytes, weights bytes), None for
+    a file not written."""
+    outputs = [tmp_path / "predictions.jsonl", tmp_path / "weights.json"]
+    argv = ["aggregate", "--input", str(annotations), "--attribute", "attr",
+            "--labels", "a,b,c", "--max-iter", str(max_iter),
+            "--out", str(outputs[0]), "--weights-out", str(outputs[1])]
+    runs = []
+    for budget in (PLAIN_BUDGET, -1):
+        with mock.patch.object(ensemble, "PLAIN_BUDGET", budget):
+            assert ensemble.fits_plain(annotations, max_iter) == (budget >= 0)
+            code = main(argv)
+        written = [path.read_bytes() if path.exists() else None for path in outputs]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        runs.append((code, *capsys.readouterr(), *written))
+    return runs
+
+
+@st.composite
+def small_crowd_lines(draw):
+    """The lines of a small annotation file in labels a, b, c: annotators that
+    mostly agree with a hidden truth, mostly contradict it (they earn negative
+    weights) or guess, some labels out of the vocabulary or in another case,
+    agreeing repeats, any order, and in a third of the files some lines
+    compact, which only the row path reads."""
+    items = [f"p{j}" for j in range(draw(st.integers(1, 8)))]
+    truth = {item: draw(st.sampled_from("abc")) for item in items}
+    votes = {}
+    for annotator in [f"w{k}" for k in range(draw(st.integers(1, 5)))]:
+        kind = draw(st.sampled_from(["agrees", "contradicts", "guesses"]))
+        for item in draw(st.lists(st.sampled_from(items), unique=True)):
+            label = {"agrees": truth[item], "contradicts": "bcab"["abc".index(truth[item])],
+                     "guesses": draw(st.sampled_from("abc"))}[kind]
+            if draw(st.integers(0, 4)) == 0:  # now and then the annotator's own label
+                label = draw(st.sampled_from(["a", "b", "c", "B", " c", "d", "unknown"]))
+            votes[annotator, item] = label
+    pairs = list(votes) + draw(st.lists(st.sampled_from(list(votes)), max_size=3)) if votes else []
+    lines, mixed = [], draw(st.integers(0, 2)) == 0
+    for annotator, item in draw(st.permutations(pairs)):
+        record = {"annotator_id": annotator, "item_id": item, "attribute": "attr",
+                  "raw_label": votes[annotator, item]}
+        compact = mixed and draw(st.booleans())
+        lines.append(json.dumps(record, separators=(",", ":") if compact else None) + "\n")
+    return "".join(lines)
+
+
+# Labels of items p0..p9 ("-": none). Found by a search of random crowds: summed in
+# descending annotator order, its scores break a tie apart and it converges an
+# iteration early. The plain loop must add the votes in np.bincount's order.
+ORDER_SENSITIVE_CROWD = {"w0": "ccbc-bacbb", "w1": "bbbacbbb-c", "w2": "bbbbaac-ca",
+                         "w3": "bcaacb-cbc"}
+ORDER_SENSITIVE_LINES = "".join(
+    json.dumps({"annotator_id": annotator, "item_id": f"p{j}", "attribute": "attr",
+                "raw_label": label}) + "\n"
+    for annotator, labels in ORDER_SENSITIVE_CROWD.items()
+    for j, label in enumerate(labels) if label != "-"
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=small_crowd_lines(), max_iter=st.sampled_from([1, 2, 3, 4, 5, 100]))
+@example(text=ORDER_SENSITIVE_LINES, max_iter=5)
+def test_plain_path_writes_the_numpy_paths_bytes(tmp_path, capsys, text, max_iter):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(text, encoding="utf-8")
+    plain, vectorised = aggregate_both_ways(tmp_path, capsys, annotations, max_iter)
+    assert plain == vectorised
+
+
+@pytest.mark.parametrize(
+    "lines, code, message",
+    [
+        ([("a1", "p1", "a"), ("a1", "p2", "b"), ("a1", "p1", "B")], 2,
+         "conflicting labels for annotator 'a1' on item 'p1': 'a' vs 'b'"),
+        ([("a1", "p1", "a"), ("a2", "p1", "b", "size")], 2,
+         "record attribute 'size' does not match schema attribute 'attr'"),
+        ([("a1", "p1", "a"), "{not json"], 2, "annotations.jsonl:2: invalid JSON"),
+        # Precedence: a malformed line anywhere, then a conflict before another attribute.
+        ([("a1", "p1", "a"), ("a1", "p1", "b"), ("a2", "p1", "b", "size")], 2,
+         "conflicting labels for annotator 'a1' on item 'p1'"),
+        ([("a2", "p1", "b", "size"), ("a1", "p1", "a"), ("a1", "p1", "b")], 2,
+         "record attribute 'size' does not match"),
+        ([("a1", "p1", "a"), ("a1", "p1", "b"), ("a2", "p1", "b", "size"), "[]"], 2,
+         "annotations.jsonl:4: expected a JSON object"),
+        ([("a1", "p1", "d"), ("a2", "p1", "unknown")], 1, "no annotations"),
+    ],
+    ids=["conflict", "another attribute", "malformed line", "conflict, then attribute",
+         "attribute, then conflict", "malformed line last", "no label in the vocabulary"],
+)
+def test_both_paths_fail_alike(tmp_path, capsys, lines, code, message):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("".join(
+        line + "\n" if isinstance(line, str) else json.dumps({
+            "annotator_id": line[0], "item_id": line[1],
+            "attribute": line[3] if len(line) > 3 else "attr", "raw_label": line[2]}) + "\n"
+        for line in lines
+    ), encoding="utf-8")
+    plain, vectorised = aggregate_both_ways(tmp_path, capsys, annotations)
+    assert plain == vectorised
+    assert plain[:2] == (code, "") and message in plain[2] and plain[3:] == (None, None)
+
+
+def test_the_plain_path_takes_size_times_max_iter_up_to_the_budget(tmp_path):
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    beyond = PLAIN_BUDGET // annotations.stat().st_size + 1
+    assert ensemble.fits_plain(annotations, beyond - 1)
+    assert not ensemble.fits_plain(annotations, beyond)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("compact", [0, -1], ids=["compact first line", "compact last line"])
+def test_piped_input_is_read_once(tmp_path, compact):
+    # A pipe can be read only once. The column reader would take it all, then decline
+    # the compact line, leaving the row path nothing: the row path must read it alone.
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotation_lines(annotations, THREE_BY_FOUR)
+    lines = annotations.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[compact] = json.dumps(json.loads(lines[compact]), separators=(",", ":")) + "\n"
+    annotations.write_text("".join(lines), encoding="utf-8")
+    runs = []
+    for source in (str(annotations), "/dev/stdin"):
+        out, weights = tmp_path / "out.jsonl", tmp_path / "weights.json"
+        result = run_python_on_src(
+            "-m", "labelvote", "aggregate", "--input", source, "--attribute", "attr",
+            "--labels", "a,b", "--out", str(out), "--weights-out", str(weights),
+            input="".join(lines),
+        )
+        runs.append((result.returncode, result.stderr, out.read_bytes(), weights.read_bytes()))
+        out.unlink()
+        weights.unlink()
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (0, "iterations_run=2 converged=True\n")
+
+
+def run_python_on_src(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, unset=(),
+                      input=None):
     """Run a child interpreter that imports labelvote from this checkout,
-    without the environment variables ``unset``."""
+    without the environment variables ``unset``, with ``input`` piped to it."""
     src = Path(__file__).resolve().parents[1] / "src"
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
@@ -1067,7 +1209,7 @@ def run_python_on_src(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, uns
         env.pop(name, None)
     return subprocess.run(
         [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True,
-        timeout=60,
+        timeout=60, input=input,
     )
 
 
@@ -1342,21 +1484,19 @@ def test_extract_warnings_are_prefixed_once_per_call(tmp_path):
     assert result.stderr == ""
 
 
-# The package modules each subcommand loads, beyond labelvote and labelvote.cli.
+# The package modules each subcommand loads, beyond labelvote and labelvote.cli, by
+# whether it loads numpy: aggregate does only on an input beyond ensemble.PLAIN_BUDGET.
 SUBCOMMAND_MODULES = {
-    "--help": [],
-    "evaluate": ["jsonl"],
-    "extract": ["data", "extract", "jsonl", "providers", "storage"],  # data: the prompt
-    "aggregate": ["aggregate", "core", "jsonl", "storage"],
-    "simulate": ["core", "jsonl", "simulate", "storage"],
+    ("--help", False): [],
+    ("evaluate", False): ["jsonl"],
+    ("extract", False): ["data", "extract", "jsonl", "providers", "storage"],  # data: the prompt
+    ("aggregate", False): ["ensemble", "jsonl", "storage"],
+    ("aggregate", True): ["aggregate", "core", "ensemble", "jsonl", "storage"],
+    ("simulate", True): ["core", "jsonl", "simulate", "storage"],
 }
 
 
-@pytest.mark.parametrize(
-    "subcommand, loads_numpy",
-    [("--help", False), ("evaluate", False), ("extract", False),
-     ("aggregate", True), ("simulate", True)],
-)
+@pytest.mark.parametrize("subcommand, loads_numpy", SUBCOMMAND_MODULES)
 def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcommand, loads_numpy):
     # The console script imports labelvote.cli and calls main, as the probe does.
     # Only labelvote.* names are pinned: which stdlib modules load differs between hosts.
@@ -1384,6 +1524,8 @@ def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcomman
         "simulate": ["simulate", "--items", "10", *schema, "--workers", str(workers),
                      "--seed", "1", "--out", out],
     }[subcommand]
+    if subcommand == "aggregate" and loads_numpy:  # the same file, iterated beyond the budget
+        argv += ["--max-iter", str(PLAIN_BUDGET // annotations.stat().st_size + 1)]
     probe = (
         "import sys\n"
         "from labelvote.cli import main\n"
@@ -1403,7 +1545,7 @@ def test_numpy_is_loaded_only_by_the_subcommands_that_use_it(tmp_path, subcomman
         bare = "import sys, labelvote.cli; print('dataclasses' in sys.modules)"
         assert dataclasses == run_python_on_src("-c", bare).stdout.strip()
     expected = ["labelvote", "labelvote.cli"]
-    expected += [f"labelvote.{name}" for name in SUBCOMMAND_MODULES[subcommand]]
+    expected += [f"labelvote.{name}" for name in SUBCOMMAND_MODULES[subcommand, loads_numpy]]
     assert modules_line.split() == sorted(expected)
 
 
@@ -1431,9 +1573,9 @@ def test_column_reader_loads_no_numpy_ma(tmp_path):
 
 # Every name the package exported when its __init__ imported all modules, by defining module.
 EXPORTS = {
-    "aggregate": "EnsembleConfig EnsembleState estimate_accuracies majority_vote oracle_weights "
-    "run_ensemble update_weights weighted_vote",
+    "aggregate": "estimate_accuracies majority_vote run_ensemble weighted_vote",
     "core": "AnnotationMatrix build_matrix read_matrix write_matrix",
+    "ensemble": "EnsembleConfig EnsembleState oracle_weights update_weights",
     "extract": "PromptTemplate SynonymMap default_template extract_labels parse_response "
     "render_prompt",
     "jsonl": "prediction_columns",
