@@ -7,21 +7,19 @@ weights with weight = L * accuracy - 1 (L being the vocabulary size).
 The rule zeroes out annotators at chance level (accuracy 1/L), gives
 perfect annotators the maximal weight L - 1, and leaves consistently
 wrong annotators with negative weight so their votes count as evidence
-against. The loop's config and result and the weight rule live in
-``ensemble``, with the plain loop of small runs, and resolve here too.
+against. The loop itself, its config and result, and the weight rule live
+in ``ensemble``; this module holds the loop's vectorised step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import AnnotationMatrix
-from .ensemble import EnsembleConfig, EnsembleState, oracle_weights, update_weights  # noqa: F401
+from .ensemble import EnsembleConfig, EnsembleState, IterationCallback, _fixed_point
 from .storage import ExtendedLabel
-
-IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
 
 
 def _ballot(cells: np.ndarray, n_labels: int) -> tuple:
@@ -121,37 +119,19 @@ def run_ensemble(
     the returned state is self-consistent: predictions == the weighted
     vote under the returned weights.
 
-    ``on_iteration`` (if given) is called after each iteration with
-    (iteration number, predictions, accuracies, updated weights); handy
-    for instrumentation and convergence traces.
+    ``on_iteration`` (if given) is called after each iteration with (iteration
+    number, predictions, accuracies, updated weights), the last three as lists
+    of Python numbers, here and in ``ensemble.run_plain``; handy for traces.
 
     Deterministic: identical matrix and config produce an identical state.
     """
-    if config is None:
-        config = EnsembleConfig()
     if matrix.observed_count == 0:
         raise ValueError("annotation matrix has no observed entries")
-    n_labels = matrix.schema.n_labels
-    ballot = _ballot(matrix.cells, n_labels)
-    weights = [1.0] * matrix.n_annotators
-    previous_predictions: np.ndarray | None = None
-    converged = False
-    for iteration in range(1, config.max_iterations + 1):
+    ballot = _ballot(matrix.cells, matrix.schema.n_labels)
+
+    def step(weights):
         predictions = _vote(ballot, np.asarray(weights))
-        accuracies = estimate_accuracies(matrix, predictions)
-        weights = update_weights(accuracies, n_labels)
-        if on_iteration is not None:
-            on_iteration(iteration, predictions.tolist(), accuracies, weights)
-        if previous_predictions is not None and np.array_equal(
-            predictions, previous_predictions
-        ):
-            converged = True
-            break
-        previous_predictions = predictions
-    return EnsembleState(
-        weights=weights,
-        accuracies=accuracies,
-        predictions=predictions.tolist(),
-        iterations_run=iteration,
-        converged=converged,
-    )
+        # Looked up per call: the benchmark's tracer counts iterations by this name.
+        return predictions, estimate_accuracies(matrix, predictions)
+
+    return _fixed_point(step, matrix.n_annotators, matrix.schema.n_labels, config, on_iteration)

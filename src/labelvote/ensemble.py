@@ -1,18 +1,19 @@
-"""The numpy-free half of the aggregation, and the plain loop of small runs.
+"""The numpy-free half of the aggregation: the weight-learning loop, and its plain step.
 
-It holds the loop's config and result, the weight rule, and the numbering of
-annotation rows into entries that ``core.build_matrix`` shares. It also holds
-``run_plain``, the three update rules in plain Python, bit for bit those of
-``aggregate.run_ensemble``. ``labelvote aggregate`` runs it when
-``fits_plain`` says the input is too small to repay loading numpy.
+It holds the loop's config and result, the weight rule, the loop itself, and
+the numbering of annotation rows into entries that ``core.build_matrix``
+shares. ``run_plain`` votes in plain Python, bit for bit as
+``aggregate.run_ensemble`` does with numpy; ``labelvote aggregate`` runs it
+when ``fits_plain`` says the input is too small to repay loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .jsonl import _rules
 from .storage import AttributeSchema, ConflictError, ExtendedLabel, _Checked, encode_label
@@ -30,6 +31,8 @@ from .storage import AttributeSchema, ConflictError, ExtendedLabel, _Checked, en
 # against 330 ms.) Extract-mock's 58.8 KB x 100 iterations (5.9 MB) fits;
 # hard-crowd's 6.2 MB x 36 (223 MB) and dense-20k's 9.0 MB x 100 (900 MB) do not.
 PLAIN_BUDGET = 8 << 20  # bytes x iterations
+
+IterationCallback = Callable[[int, list[ExtendedLabel], list[float], list[float]], None]
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,26 @@ def oracle_weights(true_accuracies: Sequence[float], n_labels: int) -> list[floa
     name that the acceptance suite imports.
     """
     return update_weights(true_accuracies, n_labels)
+
+
+def _fixed_point(step, n_annotators: int, n_labels: int, config: EnsembleConfig | None,
+                 on_iteration: IterationCallback | None) -> EnsembleState:
+    """``aggregate.run_ensemble``'s loop around ``step(weights)``, which votes and
+    returns (predictions, accuracies). The predictions are a typed array, compared
+    by their bytes: a list would cost the numpy step a conversion per iteration."""
+    if config is None:
+        config = EnsembleConfig()
+    weights, previous, converged = [1.0] * n_annotators, None, False
+    for iteration in range(1, config.max_iterations + 1):
+        predictions, accuracies = step(weights)
+        weights = update_weights(accuracies, n_labels)
+        if on_iteration is not None:
+            on_iteration(iteration, predictions.tolist(), accuracies, weights)
+        if (current := predictions.tobytes()) == previous:
+            converged = True
+            break
+        previous = current
+    return EnsembleState(weights, accuracies, predictions.tolist(), iteration, converged)
 
 
 def _number_rows(schema: AttributeSchema, rows: Iterable) -> tuple:
@@ -147,25 +170,24 @@ def fits_plain(path, max_iterations: int) -> bool:
     return os.path.isfile(path) and os.path.getsize(path) * max_iterations <= PLAIN_BUDGET
 
 
-def run_plain(votes: Votes, config: EnsembleConfig | None = None) -> EnsembleState:
+def run_plain(votes: Votes, config: EnsembleConfig | None = None,
+              on_iteration: IterationCallback | None = None) -> EnsembleState:
     """``aggregate.run_ensemble`` of the same annotations in plain Python, bit
-    for bit. Each item's score starts at 0.0 for every label, so a negative
-    weight can pick a label nobody voted for, and adds the voters' weights in
-    ascending annotator order, the order in which ``np.bincount`` sums them.
-    A tie goes to the lowest label, and an item with no vote gets 0. An
-    annotator's accuracy is its matches over its votes, all on predicted
-    items; with no vote it is 1/L."""
-    if config is None:
-        config = EnsembleConfig()
+    for bit, with the same ``on_iteration``. Each item's score starts at 0.0
+    for every label, so a negative weight can pick a label nobody voted for,
+    and adds the voters' weights in ascending annotator order, the order in
+    which ``np.bincount`` sums them. A tie goes to the lowest label, and an
+    item with no vote gets 0. An annotator's accuracy is its matches over its
+    votes, all on predicted items; with no vote it is 1/L."""
     n_labels, by_item = votes.schema.n_labels, votes.by_item
     blank = [-math.inf] + [0.0] * n_labels  # indexed by label; slot 0 never wins
     counts = [0] * len(votes.annotator_ids)
     for item_votes in by_item:
         for annotator, _ in item_votes:
             counts[annotator] += 1
-    weights, previous, converged = [1.0] * len(counts), None, False
-    for iteration in range(1, config.max_iterations + 1):
-        predictions, matches = [], [0] * len(counts)
+
+    def step(weights):
+        predictions, matches = array("q"), [0] * len(counts)
         for item_votes in by_item:
             scores = blank[:]
             for annotator, label in item_votes:
@@ -175,10 +197,6 @@ def run_plain(votes: Votes, config: EnsembleConfig | None = None) -> EnsembleSta
             for annotator, label in item_votes:
                 if label == best:
                     matches[annotator] += 1
-        accuracies = [m / c if c else 1.0 / n_labels for m, c in zip(matches, counts)]
-        weights = update_weights(accuracies, n_labels)
-        if predictions == previous:
-            converged = True
-            break
-        previous = predictions
-    return EnsembleState(weights, accuracies, predictions, iteration, converged)
+        return predictions, [m / c if c else 1.0 / n_labels for m, c in zip(matches, counts)]
+
+    return _fixed_point(step, len(counts), n_labels, config, on_iteration)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from labelvote import (
     AnnotationMatrix,
@@ -13,6 +13,7 @@ from labelvote import (
     EnsembleConfig,
     SimulationConfig,
     WorkerProfile,
+    build_matrix,
     estimate_accuracies,
     generate_ground_truth,
     majority_vote,
@@ -23,11 +24,13 @@ from labelvote import (
     update_weights,
     weighted_vote,
 )
-from labelvote import aggregate
+from labelvote import aggregate, ensemble
 from labelvote.aggregate import _ballot, _vote
+from labelvote.ensemble import build_votes, run_plain
 
 from conftest import make_matrix, random_sparse_rows
 from reference import reference_ensemble
+from test_cli import ORDER_SENSITIVE_CROWD
 
 
 def vote_all(matrix, weights):
@@ -558,6 +561,24 @@ class TestIterationKernels:
         state = run_ensemble(matrix, EnsembleConfig(max_iterations=20), on_iteration=check)
         assert len(weights) == state.iterations_run + 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_rows())
+    @example(([["-abc".index(v) for v in labels] for labels in ORDER_SENSITIVE_CROWD.values()], 3))
+    def test_both_paths_call_the_hook_alike(self, case):
+        rows, n_labels = case
+        schema = AttributeSchema("attr", [f"l{k}" for k in range(1, n_labels + 1)])
+        records = [(f"a{i}", f"p{j}", "attr", f"l{v}")
+                   for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+        vectorised, plain = [], []
+        run_ensemble(build_matrix(schema, records), on_iteration=lambda *call: vectorised.append(call))
+        run_plain(build_votes(schema, records), on_iteration=lambda *call: plain.append(call))
+        assert vectorised == plain
+        for iteration, predictions, accuracies, weights in vectorised + plain:
+            assert type(iteration) is int
+            assert [type(p) for p in predictions] == [int] * len(predictions)
+            assert type(predictions) is type(accuracies) is type(weights) is list
+            assert {type(v) for v in accuracies + weights} == {float}
+
     def test_each_iteration_calls_the_accuracy_and_weight_steps_once(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -565,10 +586,14 @@ class TestIterationKernels:
             matrix = labelled(rows, n_labels)
             with mock.patch.object(aggregate, "estimate_accuracies",
                                    wraps=aggregate.estimate_accuracies) as accuracies, \
-                    mock.patch.object(aggregate, "update_weights",
-                                      wraps=aggregate.update_weights) as weights:
+                    mock.patch.object(ensemble, "update_weights",
+                                      wraps=ensemble.update_weights) as weights:
                 state = run_ensemble(matrix)
             assert accuracies.call_count == weights.call_count == state.iterations_run
+            with mock.patch.object(ensemble, "update_weights",
+                                   wraps=ensemble.update_weights) as weights:
+                state = run_plain(build_votes(matrix.schema, matrix.to_records()))
+            assert weights.call_count == state.iterations_run
 
 
 class TestEnsembleConfig:
